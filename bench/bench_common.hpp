@@ -57,11 +57,11 @@ struct E2EResult {
 
 /// Full workflow: hierarchy setup + preconditioned Krylov solve, timed by
 /// phase exactly as Fig. 8/9 splits them (setup / MG preconditioner / other).
-/// `deterministic` switches the Krylov dot/nrm2 to the fixed-blocking
-/// pairwise reduction, making histories bitwise reproducible at any OpenMP
+/// `deterministic` (default on) selects the fixed-blocking pairwise
+/// Krylov dot/nrm2, making histories bitwise reproducible at any OpenMP
 /// thread count (SolveOptions::deterministic_reductions).
 inline E2EResult run_e2e(const Problem& p, MGConfig cfg, int max_iters = 400,
-                         double rtol = 1e-9, bool deterministic = false) {
+                         double rtol = 1e-9, bool deterministic = true) {
   E2EResult out;
   StructMat<double> A = p.A;
 

@@ -126,8 +126,8 @@ std::int64_t cycle_visits(CycleShape shape, int level, int nlevels) noexcept {
       return 1;
     case CycleShape::W:
       // Each non-coarsest child is entered twice per parent visit; the
-      // coarsest only once per parent visit (MGPrecond::cycle's recursion
-      // guard `lev + 1 < last`), so its count repeats the parent's.
+      // coarsest only once per parent visit (run_cycle's recursion
+      // guard `l + 1 < last`), so its count repeats the parent's.
       return std::int64_t{1} << std::min({level, nlevels - 2, 62});
     case CycleShape::F:
       // One V sub-cycle rooted at every level j <= level reaches `level`

@@ -1,7 +1,10 @@
 #include "core/decomp_engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
+#include "core/cycle.hpp"
+#include "core/mg_precond.hpp"
 #include "core/transfer.hpp"
 #include "kernels/blas1.hpp"
 #include "kernels/fused.hpp"
@@ -142,7 +145,7 @@ void boxed_prolong_add(const Coarsening& c, int bs, const CT* ec,
 template <class CT>
 DecompEngine<CT>::DecompEngine(const MGHierarchy* h, std::array<int, 3> nb,
                                bool halo_fp16)
-    : h_(h), shape_(h->config().cycle), pool_(&ThreadPool::global()) {
+    : h_(h), pool_(&ThreadPool::global()) {
   wire_bytes_ = halo_fp16 ? sizeof(half) : sizeof(CT);
   const std::vector<BoxDecomp> chain =
       decomp_chain(*h_, nb, h_->config().decomp_min_box);
@@ -176,28 +179,17 @@ DecompEngine<CT>::DecompEngine(const MGHierarchy* h, std::array<int, 3> nb,
       }
     }
   }
-  if (h_->finest_wrapped()) {
-    const auto& q2 = h_->finest_q2();
-    wrap_q2_.resize(q2.size());
-    copy_convert<CT, double>({q2.data(), q2.size()},
-                             {wrap_q2_.data(), wrap_q2_.size()});
-  }
 }
 
 template <class CT>
 void DecompEngine<CT>::build_level(int l) {
-  const Level& hl = h_->level(l);
   DLevel& D = levels_[static_cast<std::size_t>(l)];
-  const std::size_t n = static_cast<std::size_t>(hl.A_full.nrows());
-  // Global working set: the whole storage of an unboxed level; on boxed
-  // levels u/f carry the apply entry/exit (level 0) and r is the gather
-  // scratch for the restriction across the agglomeration boundary.
-  D.u.assign(n, CT{0});
-  D.f.assign(n, CT{0});
-  D.r.assign(n, CT{0});
   if (!D.boxed) {
-    refresh_global(l);
-    return;
+    return;  // runs on MGPrecond's single-vector storage
+  }
+  const Level& hl = h_->level(l);
+  if (!levels_[static_cast<std::size_t>(l) + 1].boxed) {
+    gather_.assign(static_cast<std::size_t>(hl.A_full.nrows()), CT{0});
   }
   D.plan = HaloPlan(D.decomp, hl.A_full.block_size());
   D.hx.init(&D.plan, wire_bytes_);
@@ -249,15 +241,17 @@ void DecompEngine<CT>::build_box(int l, int b) {
     }
   }
 
-  // Scaled levels: local q2 with 1 at ghost dofs (the identity-row value).
+  // Scaled levels: the global q2 at every local cell, ghosts included —
+  // interior rows scale their ghost neighbours' values by q2_j.
+  bd.q2.clear();
   if (hl.scaled) {
-    bd.q2.assign(nloc, CT{1});
-    for (int ik = 0; ik < s.n[2]; ++ik) {
-      for (int ij = 0; ij < s.n[1]; ++ij) {
-        for (int ii = 0; ii < s.n[0]; ++ii) {
-          const std::int64_t lrow = s.local_idx(ii, ij, ik) * bs;
+    bd.q2.resize(nloc);
+    for (int k = 0; k < lb.nz; ++k) {
+      for (int j = 0; j < lb.ny; ++j) {
+        for (int i = 0; i < lb.nx; ++i) {
+          const std::int64_t lrow = lb.idx(i, j, k) * bs;
           const std::int64_t grow =
-              g.idx(s.lo[0] + ii, s.lo[1] + ij, s.lo[2] + ik) * bs;
+              g.idx(i + s.off(0), j + s.off(1), k + s.off(2)) * bs;
           for (int c = 0; c < bs; ++c) {
             bd.q2[static_cast<std::size_t>(lrow + c)] =
                 static_cast<CT>(hl.q2[static_cast<std::size_t>(grow + c)]);
@@ -265,44 +259,24 @@ void DecompEngine<CT>::build_box(int l, int b) {
         }
       }
     }
-  } else {
-    bd.q2.clear();
   }
-}
-
-template <class CT>
-void DecompEngine<CT>::refresh_global(int l) {
-  const Level& hl = h_->level(l);
-  DLevel& D = levels_[static_cast<std::size_t>(l)];
-  if (hl.scaled) {
-    D.q2.resize(hl.q2.size());
-    copy_convert<CT, double>({hl.q2.data(), hl.q2.size()},
-                             {D.q2.data(), D.q2.size()});
-  }
-  D.invdiag.resize(hl.invdiag.size());
-  copy_convert<CT, double>({hl.invdiag.data(), hl.invdiag.size()},
-                           {D.invdiag.data(), D.invdiag.size()});
 }
 
 template <class CT>
 void DecompEngine<CT>::refresh_level(int l) {
   DLevel& D = levels_[static_cast<std::size_t>(l)];
-  if (!D.boxed) {
-    refresh_global(l);
-    return;
+  if (D.boxed) {
+    pool_->run(D.decomp.nboxes(), [&](int b) { build_box(l, b); });
   }
-  pool_->run(D.decomp.nboxes(), [&](int b) { build_box(l, b); });
 }
 
 template <class CT>
-void DecompEngine<CT>::exchange(int lev, bool residual_field) {
+void DecompEngine<CT>::exchange(int lev, avec<CT> BoxData::*field_ptr) {
   DLevel& D = levels_[static_cast<std::size_t>(lev)];
   const obs::LevelScope ls(lev);
   std::vector<BoxData>& boxes = D.boxes;
-  const std::function<CT*(int)> field =
-      [&boxes, residual_field](int b) -> CT* {
-    BoxData& bd = boxes[static_cast<std::size_t>(b)];
-    return residual_field ? bd.r.data() : bd.u.data();
+  const std::function<CT*(int)> field = [&boxes, field_ptr](int b) -> CT* {
+    return (boxes[static_cast<std::size_t>(b)].*field_ptr).data();
   };
   const bool metered =
       D.metrics.wire_bytes != nullptr && obs::metrics_enabled();
@@ -346,6 +320,12 @@ void DecompEngine<CT>::refresh_ghost_rhs(int lev, int b) {
   }
   BoxData& bd = D.boxes[static_cast<std::size_t>(b)];
   const int bs = h_->level(lev).A_full.block_size();
+  // SymGS never reads the ghost diagonal: f_g := u_g.  Jacobi's residual
+  // includes the q2-scaled identity diagonal: f_g := q2_g * (q2_g * u_g).
+  const CT* q2 = h_->config().smoother == SmootherType::Jacobi &&
+                         !bd.q2.empty()
+                     ? bd.q2.data()
+                     : nullptr;
   for (int k = 0; k < lb.nz; ++k) {
     const bool kin = k >= s.glo[2] && k < s.glo[2] + s.n[2];
     for (int j = 0; j < lb.ny; ++j) {
@@ -356,8 +336,8 @@ void DecompEngine<CT>::refresh_ghost_rhs(int lev, int b) {
         }
         const std::int64_t row = lb.idx(i, j, k) * bs;
         for (int c = 0; c < bs; ++c) {
-          bd.f[static_cast<std::size_t>(row + c)] =
-              bd.u[static_cast<std::size_t>(row + c)];
+          const std::size_t d = static_cast<std::size_t>(row + c);
+          bd.f[d] = q2 == nullptr ? bd.u[d] : q2[d] * (q2[d] * bd.u[d]);
         }
       }
     }
@@ -365,66 +345,58 @@ void DecompEngine<CT>::refresh_ghost_rhs(int lev, int b) {
 }
 
 template <class CT>
-void DecompEngine<CT>::scatter_to_boxes(int lev, std::span<const CT> src) {
+void DecompEngine<CT>::copy_interiors(int lev, avec<CT> BoxData::*field,
+                                      CT* global, bool to_boxes) {
   DLevel& D = levels_[static_cast<std::size_t>(lev)];
   const Level& hl = h_->level(lev);
   const Box& g = hl.A_full.box();
   const int bs = hl.A_full.block_size();
   pool_->run(D.decomp.nboxes(), [&](int b) {
     const SubBox& s = D.decomp.box(b);
+    CT* local = (D.boxes[static_cast<std::size_t>(b)].*field).data();
+    const std::int64_t nv = static_cast<std::int64_t>(s.n[0]) * bs;
+    for (int ik = 0; ik < s.n[2]; ++ik) {
+      for (int ij = 0; ij < s.n[1]; ++ij) {
+        CT* lrow = local + s.local_idx(0, ij, ik) * bs;
+        CT* grow = global + g.idx(s.lo[0], s.lo[1] + ij, s.lo[2] + ik) * bs;
+        if (to_boxes) {
+          std::copy(grow, grow + nv, lrow);
+        } else {
+          std::copy(lrow, lrow + nv, grow);
+        }
+      }
+    }
+  });
+}
+
+template <class CT>
+void DecompEngine<CT>::zero(int l) {
+  if (!boxed(l)) {
+    plain_->zero(l);
+    return;
+  }
+  DLevel& D = levels_[static_cast<std::size_t>(l)];
+  pool_->run(D.decomp.nboxes(), [&](int b) {
     BoxData& bd = D.boxes[static_cast<std::size_t>(b)];
-    const std::int64_t nv = static_cast<std::int64_t>(s.n[0]) * bs;
-    for (int ik = 0; ik < s.n[2]; ++ik) {
-      for (int ij = 0; ij < s.n[1]; ++ij) {
-        const std::int64_t lrow = s.local_idx(0, ij, ik) * bs;
-        const std::int64_t grow =
-            g.idx(s.lo[0], s.lo[1] + ij, s.lo[2] + ik) * bs;
-        for (std::int64_t t = 0; t < nv; ++t) {
-          bd.f[static_cast<std::size_t>(lrow + t)] =
-              src[static_cast<std::size_t>(grow + t)];
-        }
-      }
-    }
+    set_zero(std::span<CT>{bd.u.data(), bd.u.size()});
   });
 }
 
 template <class CT>
-void DecompEngine<CT>::gather_interiors(int lev,
-                                        const avec<CT> BoxData::*field,
-                                        std::span<CT> dst) {
-  DLevel& D = levels_[static_cast<std::size_t>(lev)];
-  const Level& hl = h_->level(lev);
-  const Box& g = hl.A_full.box();
-  const int bs = hl.A_full.block_size();
-  pool_->run(D.decomp.nboxes(), [&](int b) {
-    const SubBox& s = D.decomp.box(b);
-    const avec<CT>& bf = D.boxes[static_cast<std::size_t>(b)].*field;
-    const std::int64_t nv = static_cast<std::int64_t>(s.n[0]) * bs;
-    for (int ik = 0; ik < s.n[2]; ++ik) {
-      for (int ij = 0; ij < s.n[1]; ++ij) {
-        const std::int64_t lrow = s.local_idx(0, ij, ik) * bs;
-        const std::int64_t grow =
-            g.idx(s.lo[0], s.lo[1] + ij, s.lo[2] + ik) * bs;
-        for (std::int64_t t = 0; t < nv; ++t) {
-          dst[static_cast<std::size_t>(grow + t)] =
-              bf[static_cast<std::size_t>(lrow + t)];
-        }
-      }
-    }
-  });
-}
-
-template <class CT>
-void DecompEngine<CT>::smooth_boxed(int lev, bool forward) {
-  DLevel& D = levels_[static_cast<std::size_t>(lev)];
+void DecompEngine<CT>::smooth(int l, bool forward) {
+  if (!boxed(l)) {
+    plain_->smooth(l, forward);
+    return;
+  }
+  DLevel& D = levels_[static_cast<std::size_t>(l)];
   const MGConfig& cfg = h_->config();
-  exchange(lev, /*residual_field=*/false);
+  exchange(l, &BoxData::u);
   const CT w = static_cast<CT>(cfg.jacobi_weight);
   const bool symgs = cfg.smoother == SmootherType::SymGS;
   pool_->run(D.decomp.nboxes(), [&](int b) {
-    const obs::LevelScope ls(lev);
+    const obs::LevelScope ls(l);
     BoxData& bd = D.boxes[static_cast<std::size_t>(b)];
-    refresh_ghost_rhs(lev, b);
+    refresh_ghost_rhs(l, b);
     const CT* q2 = bd.q2.empty() ? nullptr : bd.q2.data();
     std::span<const CT> f{bd.f.data(), bd.f.size()};
     std::span<const CT> invd{bd.invdiag.data(), bd.invdiag.size()};
@@ -452,111 +424,47 @@ void DecompEngine<CT>::smooth_boxed(int lev, bool forward) {
 }
 
 template <class CT>
-void DecompEngine<CT>::smooth_global(int lev, bool forward) {
-  const Level& hl = h_->level(lev);
-  DLevel& D = levels_[static_cast<std::size_t>(lev)];
-  const MGConfig& cfg = h_->config();
-  const CT* q2 = D.q2.empty() ? nullptr : D.q2.data();
-  std::span<const CT> f{D.f.data(), D.f.size()};
-  std::span<CT> u{D.u.data(), D.u.size()};
-  std::span<const CT> invdiag{D.invdiag.data(), D.invdiag.size()};
-  if (cfg.smoother == SmootherType::SymGS) {
-    const WavefrontSchedule* wf =
-        hl.smoother_wf.valid() ? &hl.smoother_wf : nullptr;
-    hl.A_stored.visit([&](const auto& m) {
-      if (forward) {
-        gs_forward(m, f, u, invdiag, q2, wf);
-      } else {
-        gs_backward(m, f, u, invdiag, q2, wf);
-      }
-    });
+void DecompEngine<CT>::restrict_field(int l, avec<CT> BoxData::*field) {
+  DLevel& D = levels_[static_cast<std::size_t>(l)];
+  DLevel& C = levels_[static_cast<std::size_t>(l) + 1];
+  const Level& hl = h_->level(l);
+  const int bs = hl.A_full.block_size();
+  if (!C.boxed) {
+    // Agglomeration boundary: gather the interior field into the global
+    // scratch and run the global restriction into the coarse global rhs.
+    LevelData<CT>& Cv = plain_->level(l + 1);
+    copy_interiors(l, field, gather_.data(), /*to_boxes=*/false);
+    restrict_to_coarse<CT>(hl.to_coarse, bs, {gather_.data(), gather_.size()},
+                           {Cv.f.data(), Cv.f.size()});
     return;
   }
-  const CT w = static_cast<CT>(cfg.jacobi_weight);
-  hl.A_stored.visit([&](const auto& m) {
-    jacobi_sweep_fused(m, f, std::span<const CT>{D.u.data(), D.u.size()},
-                       invdiag, q2, w,
-                       std::span<CT>{D.r.data(), D.r.size()});
+  // Box grids match one-to-one (coarsened() keeps the grid): coarse box b
+  // restricts from fine box b's interior+ghost field after its halo
+  // exchange; with raw halos every coarse dof is bitwise identical to the
+  // global restriction's.
+  exchange(l, field);
+  const obs::KernelSpan span(obs::Kind::Restrict);
+  pool_->run(D.decomp.nboxes(), [&](int b) {
+    boxed_restrict<CT>(hl.to_coarse, bs, D.decomp.box(b),
+                       (D.boxes[static_cast<std::size_t>(b)].*field).data(),
+                       C.decomp.box(b),
+                       C.boxes[static_cast<std::size_t>(b)].f.data());
   });
-  std::swap(D.u, D.r);
 }
 
 template <class CT>
-void DecompEngine<CT>::cycle(int lev, bool zero_guess) {
-  const int last = h_->nlevels() - 1;
-  DLevel& D = levels_[static_cast<std::size_t>(lev)];
-  const Level& hl = h_->level(lev);
-  const MGConfig& cfg = h_->config();
-
-  const obs::LevelScope level_scope(lev);
-  const obs::ScopedSpan level_span(obs::Kind::Level);
-
-  if (lev == last) {
-    const obs::KernelSpan span(obs::Kind::CoarseSolve);
-    h_->coarse_solver().solve<CT>({D.f.data(), D.f.size()},
-                                  {D.u.data(), D.u.size()});
+void DecompEngine<CT>::downstroke(int l) {
+  if (!boxed(l)) {
+    plain_->downstroke(l);  // the coarse level is one box too
     return;
   }
-
-  const int bs = hl.A_full.block_size();
-  DLevel& C = levels_[static_cast<std::size_t>(lev) + 1];
-
-  if (!D.boxed) {
-    // One-box level below the agglomeration boundary: replicate
-    // MGPrecond::cycle on the global vectors (fused downstroke included) —
-    // the coarse level is one box too (agglomeration is monotone).
-    if (zero_guess) {
-      set_zero(std::span<CT>{D.u.data(), D.u.size()});
-    }
-    for (int s = 0; s < cfg.nu1; ++s) {
-      smooth_global(lev, /*forward=*/true);
-    }
-    const CT* q2 = D.q2.empty() ? nullptr : D.q2.data();
-    if (cfg.fused_transfers != FusedTransfers::Off) {
-      hl.A_stored.visit([&](const auto& m) {
-        residual_restrict(m, std::span<const CT>{D.f.data(), D.f.size()},
-                          std::span<const CT>{D.u.data(), D.u.size()}, q2,
-                          hl.to_coarse,
-                          std::span<CT>{C.f.data(), C.f.size()});
-      });
-    } else {
-      hl.A_stored.visit([&](const auto& m) {
-        residual(m, std::span<const CT>{D.f.data(), D.f.size()},
-                 std::span<const CT>{D.u.data(), D.u.size()},
-                 std::span<CT>{D.r.data(), D.r.size()}, q2);
-      });
-      restrict_to_coarse<CT>(hl.to_coarse, bs, {D.r.data(), D.r.size()},
-                             {C.f.data(), C.f.size()});
-    }
-    cycle(lev + 1, /*zero_guess=*/true);
-    if (shape_ == CycleShape::W && lev + 1 < last) {
-      cycle(lev + 1, /*zero_guess=*/false);
-    }
-    prolong_add<CT>(hl.to_coarse, bs, {C.u.data(), C.u.size()},
-                    {D.u.data(), D.u.size()});
-    for (int s = 0; s < cfg.nu2; ++s) {
-      smooth_global(lev, /*forward=*/false);
-    }
-    return;
-  }
-
-  const int nb = D.decomp.nboxes();
-  if (zero_guess) {
-    pool_->run(nb, [&](int b) {
-      BoxData& bd = D.boxes[static_cast<std::size_t>(b)];
-      set_zero(std::span<CT>{bd.u.data(), bd.u.size()});
-    });
-  }
-  for (int s = 0; s < cfg.nu1; ++s) {
-    smooth_boxed(lev, /*forward=*/true);
-  }
-
-  // Downstroke.  The decomposed path materializes the residual per box
-  // (r ghosts are refreshed or gathered before any consumer reads them);
-  // interior residual rows are bitwise identical to the global kernel's.
-  exchange(lev, /*residual_field=*/false);
-  pool_->run(nb, [&](int b) {
-    const obs::LevelScope ls(lev);
+  // The decomposed path materializes the residual per box (r ghosts are
+  // refreshed or gathered before any consumer reads them); interior
+  // residual rows are bitwise identical to the global kernel's.
+  DLevel& D = levels_[static_cast<std::size_t>(l)];
+  exchange(l, &BoxData::u);
+  pool_->run(D.decomp.nboxes(), [&](int b) {
+    const obs::LevelScope ls(l);
     BoxData& bd = D.boxes[static_cast<std::size_t>(b)];
     const CT* q2 = bd.q2.empty() ? nullptr : bd.q2.data();
     bd.A.visit([&](const auto& m) {
@@ -565,171 +473,64 @@ void DecompEngine<CT>::cycle(int lev, bool zero_guess) {
                std::span<CT>{bd.r.data(), bd.r.size()}, q2);
     });
   });
-  if (C.boxed) {
-    // Box grids match one-to-one (coarsened() keeps the grid): coarse box b
-    // restricts from fine box b's interior+ghost residual.
-    exchange(lev, /*residual_field=*/true);
-    const obs::KernelSpan span(obs::Kind::Restrict);
-    pool_->run(nb, [&](int b) {
-      boxed_restrict<CT>(hl.to_coarse, bs, D.decomp.box(b),
-                         D.boxes[static_cast<std::size_t>(b)].r.data(),
-                         C.decomp.box(b),
-                         C.boxes[static_cast<std::size_t>(b)].f.data());
-    });
-  } else {
-    // Agglomeration boundary: gather the interior residual into the global
-    // scratch and run the global restriction into the coarse global rhs.
-    gather_interiors(lev, &BoxData::r, {D.r.data(), D.r.size()});
-    restrict_to_coarse<CT>(hl.to_coarse, bs, {D.r.data(), D.r.size()},
-                           {C.f.data(), C.f.size()});
-  }
-
-  cycle(lev + 1, /*zero_guess=*/true);
-  if (shape_ == CycleShape::W && lev + 1 < last) {
-    cycle(lev + 1, /*zero_guess=*/false);
-  }
-
-  if (C.boxed) {
-    exchange(lev + 1, /*residual_field=*/false);
-    const obs::KernelSpan span(obs::Kind::Prolong);
-    pool_->run(nb, [&](int b) {
-      const SubBox& cs = C.decomp.box(b);
-      boxed_prolong_add<CT>(
-          hl.to_coarse, bs,
-          C.boxes[static_cast<std::size_t>(b)].u.data(), cs.local(),
-          {cs.off(0), cs.off(1), cs.off(2)}, D.decomp.box(b),
-          D.boxes[static_cast<std::size_t>(b)].u.data());
-    });
-  } else {
-    const obs::KernelSpan span(obs::Kind::Prolong);
-    pool_->run(nb, [&](int b) {
-      boxed_prolong_add<CT>(hl.to_coarse, bs, C.u.data(),
-                            hl.to_coarse.coarse, {0, 0, 0}, D.decomp.box(b),
-                            D.boxes[static_cast<std::size_t>(b)].u.data());
-    });
-  }
-
-  for (int s = 0; s < cfg.nu2; ++s) {
-    smooth_boxed(lev, /*forward=*/false);
-  }
+  restrict_field(l, &BoxData::r);
 }
 
 template <class CT>
-void DecompEngine<CT>::fcycle() {
-  const int last = h_->nlevels() - 1;
-  // Downward rhs injection (C.f = R D.f, no matrix pass).  The boxed path
-  // stages the rhs through the r scratch so the existing r-halo exchange
-  // provides the ghost values boxed_restrict reads; with raw halos every
-  // coarse dof is bitwise identical to the global restriction's.
-  for (int l = 0; l < last; ++l) {
-    DLevel& D = levels_[static_cast<std::size_t>(l)];
-    DLevel& C = levels_[static_cast<std::size_t>(l) + 1];
-    const Level& hl = h_->level(l);
-    const int bs = hl.A_full.block_size();
-    if (!D.boxed) {
-      // Below the agglomeration boundary (coarse is one box too).
-      const obs::LevelScope level_scope(l);
-      restrict_to_coarse<CT>(hl.to_coarse, bs, {D.f.data(), D.f.size()},
-                             {C.f.data(), C.f.size()});
-      continue;
-    }
-    const int nb = D.decomp.nboxes();
-    if (C.boxed) {
-      pool_->run(nb, [&](int b) {
-        BoxData& bd = D.boxes[static_cast<std::size_t>(b)];
-        copy_convert<CT, CT>({bd.f.data(), bd.f.size()},
-                             {bd.r.data(), bd.r.size()});
-      });
-      exchange(l, /*residual_field=*/true);
-      const obs::LevelScope level_scope(l);
-      const obs::KernelSpan span(obs::Kind::Restrict);
-      pool_->run(nb, [&](int b) {
-        boxed_restrict<CT>(hl.to_coarse, bs, D.decomp.box(b),
-                           D.boxes[static_cast<std::size_t>(b)].r.data(),
-                           C.decomp.box(b),
-                           C.boxes[static_cast<std::size_t>(b)].f.data());
-      });
-    } else {
-      // Agglomeration boundary: gather interior rhs, restrict globally.
-      const obs::LevelScope level_scope(l);
-      gather_interiors(l, &BoxData::f, {D.r.data(), D.r.size()});
-      restrict_to_coarse<CT>(hl.to_coarse, bs, {D.r.data(), D.r.size()},
-                             {C.f.data(), C.f.size()});
-    }
-  }
-
-  // Bootstrap: exact solve on the (always one-box) coarsest level.
-  cycle(last, /*zero_guess=*/true);
-
-  // Upward: FMG interpolation as the initial guess, one V sub-cycle per
-  // level.  The coarse u halo is exchanged before the per-box prolongation
-  // exactly like the V-cycle's pre-prolong exchange.
-  for (int l = last - 1; l >= 0; --l) {
-    DLevel& D = levels_[static_cast<std::size_t>(l)];
-    DLevel& C = levels_[static_cast<std::size_t>(l) + 1];
-    const Level& hl = h_->level(l);
-    const int bs = hl.A_full.block_size();
-    if (!D.boxed) {
-      const obs::LevelScope level_scope(l);
-      set_zero(std::span<CT>{D.u.data(), D.u.size()});
-      prolong_add<CT>(hl.to_coarse, bs, {C.u.data(), C.u.size()},
-                      {D.u.data(), D.u.size()});
-    } else {
-      const int nb = D.decomp.nboxes();
-      pool_->run(nb, [&](int b) {
-        BoxData& bd = D.boxes[static_cast<std::size_t>(b)];
-        set_zero(std::span<CT>{bd.u.data(), bd.u.size()});
-      });
-      if (C.boxed) {
-        exchange(l + 1, /*residual_field=*/false);
-        const obs::LevelScope level_scope(l);
-        const obs::KernelSpan span(obs::Kind::Prolong);
-        pool_->run(nb, [&](int b) {
-          const SubBox& cs = C.decomp.box(b);
-          boxed_prolong_add<CT>(
-              hl.to_coarse, bs,
-              C.boxes[static_cast<std::size_t>(b)].u.data(), cs.local(),
-              {cs.off(0), cs.off(1), cs.off(2)}, D.decomp.box(b),
-              D.boxes[static_cast<std::size_t>(b)].u.data());
-        });
-      } else {
-        const obs::LevelScope level_scope(l);
-        const obs::KernelSpan span(obs::Kind::Prolong);
-        pool_->run(nb, [&](int b) {
-          boxed_prolong_add<CT>(hl.to_coarse, bs, C.u.data(),
-                                hl.to_coarse.coarse, {0, 0, 0},
-                                D.decomp.box(b),
-                                D.boxes[static_cast<std::size_t>(b)].u.data());
-        });
-      }
-    }
-    cycle(l, /*zero_guess=*/false);
-  }
+void DecompEngine<CT>::coarse_solve(int l) {
+  plain_->coarse_solve(l);  // the coarsest level is always one box
 }
 
 template <class CT>
-void DecompEngine<CT>::apply(std::span<const CT> r, std::span<CT> e) {
-  DLevel& D0 = levels_.front();
-  SMG_CHECK(r.size() == D0.f.size() && e.size() == D0.u.size(),
-            "decomposed MG apply size mismatch");
-  const std::span<const CT> q2w{wrap_q2_.data(), wrap_q2_.size()};
-  if (h_->finest_wrapped()) {
-    ewise_div<CT>(r, q2w, {D0.f.data(), D0.f.size()});
-  } else {
-    copy_convert<CT, CT>(r, {D0.f.data(), D0.f.size()});
+void DecompEngine<CT>::restrict_rhs(int l) {
+  if (!boxed(l)) {
+    plain_->restrict_rhs(l);
+    return;
   }
-  scatter_to_boxes(0, {D0.f.data(), D0.f.size()});
-  if (shape_ == CycleShape::F) {
-    fcycle();
-  } else {
-    cycle(0, /*zero_guess=*/true);
+  // Ghost rhs rows are free to overwrite: every sweep refreshes them.
+  restrict_field(l, &BoxData::f);
+}
+
+template <class CT>
+void DecompEngine<CT>::prolong_add(int l) {
+  if (!boxed(l)) {
+    plain_->prolong_add(l);
+    return;
   }
-  gather_interiors(0, &BoxData::u, {D0.u.data(), D0.u.size()});
-  if (h_->finest_wrapped()) {
-    ewise_div<CT>({D0.u.data(), D0.u.size()}, q2w, e);
-  } else {
-    copy_convert<CT, CT>({D0.u.data(), D0.u.size()}, e);
+  DLevel& D = levels_[static_cast<std::size_t>(l)];
+  DLevel& C = levels_[static_cast<std::size_t>(l) + 1];
+  const Level& hl = h_->level(l);
+  const int bs = hl.A_full.block_size();
+  if (C.boxed) {
+    exchange(l + 1, &BoxData::u);
   }
+  // Fine box b gathers its parents from coarse box b's interior+ghost u, or
+  // across the agglomeration boundary from the global coarse u.
+  const CT* cu = C.boxed ? nullptr : plain_->level(l + 1).u.data();
+  const obs::KernelSpan span(obs::Kind::Prolong);
+  pool_->run(D.decomp.nboxes(), [&](int b) {
+    CT* uf = D.boxes[static_cast<std::size_t>(b)].u.data();
+    if (!C.boxed) {
+      boxed_prolong_add<CT>(hl.to_coarse, bs, cu, hl.to_coarse.coarse,
+                            {0, 0, 0}, D.decomp.box(b), uf);
+      return;
+    }
+    const SubBox& cs = C.decomp.box(b);
+    boxed_prolong_add<CT>(hl.to_coarse, bs,
+                          C.boxes[static_cast<std::size_t>(b)].u.data(),
+                          cs.local(), {cs.off(0), cs.off(1), cs.off(2)},
+                          D.decomp.box(b), uf);
+  });
+}
+
+template <class CT>
+void DecompEngine<CT>::apply(VectorOps<CT>& plain, CycleShape shape) {
+  plain_ = &plain;
+  LevelData<CT>& L0 = plain.level(0);
+  copy_interiors(0, &BoxData::f, L0.f.data(), /*to_boxes=*/true);
+  run_cycle(*this, shape, h_->nlevels());
+  copy_interiors(0, &BoxData::u, L0.u.data(), /*to_boxes=*/false);
+  plain_ = nullptr;
 }
 
 template class DecompEngine<float>;

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <type_traits>
+#include <utility>
 
+#include "core/cycle.hpp"
 #include "kernels/blas1.hpp"
 #include "kernels/fused.hpp"
 #include "kernels/spmv.hpp"
@@ -18,7 +20,7 @@ MGPrecond<CT>::MGPrecond(const MGHierarchy* h)
   lv_.resize(static_cast<std::size_t>(nlev));
   for (int l = 0; l < nlev; ++l) {
     const Level& hl = h_->level(l);
-    LevelData& L = lv_[static_cast<std::size_t>(l)];
+    LevelData<CT>& L = lv_[static_cast<std::size_t>(l)];
     const std::size_t n = static_cast<std::size_t>(hl.A_full.nrows());
     L.u.assign(n, CT{0});
     L.f.assign(n, CT{0});
@@ -48,20 +50,12 @@ MGPrecond<CT>::MGPrecond(const MGHierarchy* h)
 }
 
 template <class CT>
-void MGPrecond<CT>::set_cycle_shape(CycleShape s) noexcept {
-  shape_ = s;
-  if (engine_ != nullptr) {
-    engine_->set_cycle_shape(s);
-  }
-}
-
-template <class CT>
 void MGPrecond<CT>::refresh_level(int l) {
   if (engine_ != nullptr) {
     engine_->refresh_level(l);
   }
   const Level& hl = h_->level(l);
-  LevelData& L = lv_[static_cast<std::size_t>(l)];
+  LevelData<CT>& L = lv_[static_cast<std::size_t>(l)];
   if (hl.scaled) {
     L.q2.resize(hl.q2.size());
     copy_convert<CT, double>({hl.q2.data(), hl.q2.size()},
@@ -72,12 +66,20 @@ void MGPrecond<CT>::refresh_level(int l) {
                            {L.invdiag.data(), L.invdiag.size()});
 }
 
+// ---- single-vector backend ------------------------------------------------
+
 template <class CT>
-void MGPrecond<CT>::smooth(int lev, bool forward) {
-  const Level& hl = h_->level(lev);
-  LevelData& L = lv_[static_cast<std::size_t>(lev)];
+void VectorOps<CT>::zero(int l) {
+  LevelData<CT>& L = level(l);
+  set_zero(std::span<CT>{L.u.data(), L.u.size()});
+}
+
+template <class CT>
+void VectorOps<CT>::smooth(int l, bool forward) {
+  const Level& hl = h_.level(l);
+  LevelData<CT>& L = level(l);
   const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
-  const MGConfig& cfg = h_->config();
+  const MGConfig& cfg = h_.config();
 
   std::span<const CT> f{L.f.data(), L.f.size()};
   std::span<CT> u{L.u.data(), L.u.size()};
@@ -113,108 +115,192 @@ void MGPrecond<CT>::smooth(int lev, bool forward) {
 }
 
 template <class CT>
-void MGPrecond<CT>::cycle(int lev, bool zero_guess) {
-  const int last = h_->nlevels() - 1;
-  LevelData& L = lv_[static_cast<std::size_t>(lev)];
-  const Level& hl = h_->level(lev);
-  const MGConfig& cfg = h_->config();
-
-  // Attribute everything below (kernel spans included) to this MG level.
-  const obs::LevelScope level_scope(lev);
-  const obs::ScopedSpan level_span(obs::Kind::Level);
-
-  if (lev == last) {
-    // Coarsest level: exact FP64 direct solve of the true operator.
-    const obs::KernelSpan span(obs::Kind::CoarseSolve);
-    h_->coarse_solver().solve<CT>({L.f.data(), L.f.size()},
-                                  {L.u.data(), L.u.size()});
-    return;
-  }
-
-  if (zero_guess) {
-    set_zero(std::span<CT>{L.u.data(), L.u.size()});
-  }
-  for (int s = 0; s < cfg.nu1; ++s) {
-    smooth(lev, /*forward=*/true);
-  }
-
-  // Downstroke: C.f = R (f - A u).  Fused by default — the residual is
-  // produced plane-by-plane inside residual_restrict and never written to
-  // memory; the Off path is the two-step reference (bitwise identical).
+void VectorOps<CT>::downstroke(int l) {
+  // C.f = R (f - A u).  Fused by default — the residual is produced
+  // plane-by-plane inside residual_restrict and never written to memory;
+  // the Off path is the two-step reference (bitwise identical).
+  const Level& hl = h_.level(l);
+  LevelData<CT>& L = level(l);
+  LevelData<CT>& C = level(l + 1);
   const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
-  LevelData& C = lv_[static_cast<std::size_t>(lev) + 1];
-  if (cfg.fused_transfers != FusedTransfers::Off) {
+  if (h_.config().fused_transfers != FusedTransfers::Off) {
     hl.A_stored.visit([&](const auto& m) {
       residual_restrict(m, std::span<const CT>{L.f.data(), L.f.size()},
                         std::span<const CT>{L.u.data(), L.u.size()}, q2,
                         hl.to_coarse, std::span<CT>{C.f.data(), C.f.size()});
     });
-  } else {
-    hl.A_stored.visit([&](const auto& m) {
-      residual(m, std::span<const CT>{L.f.data(), L.f.size()},
-               std::span<const CT>{L.u.data(), L.u.size()},
-               std::span<CT>{L.r.data(), L.r.size()}, q2);
-    });
-    restrict_to_coarse<CT>(hl.to_coarse, hl.A_full.block_size(),
-                           {L.r.data(), L.r.size()},
-                           {C.f.data(), C.f.size()});
+    return;
   }
-
-  cycle(lev + 1, /*zero_guess=*/true);
-  if (shape_ == CycleShape::W && lev + 1 < last) {
-    cycle(lev + 1, /*zero_guess=*/false);
-  }
-
-  prolong_add<CT>(hl.to_coarse, hl.A_full.block_size(),
-                  {C.u.data(), C.u.size()}, {L.u.data(), L.u.size()});
-  for (int s = 0; s < cfg.nu2; ++s) {
-    smooth(lev, /*forward=*/false);
-  }
+  hl.A_stored.visit([&](const auto& m) {
+    residual(m, std::span<const CT>{L.f.data(), L.f.size()},
+             std::span<const CT>{L.u.data(), L.u.size()},
+             std::span<CT>{L.r.data(), L.r.size()}, q2);
+  });
+  restrict_to_coarse<CT>(hl.to_coarse, hl.A_full.block_size(),
+                         {L.r.data(), L.r.size()}, {C.f.data(), C.f.size()});
 }
 
 template <class CT>
-void MGPrecond<CT>::fcycle() {
-  const int last = h_->nlevels() - 1;
-  // Downward rhs injection: with a zero initial guess the level residual
-  // equals its rhs, so C.f = R L.f is a pure restriction — no matrix pass.
-  for (int l = 0; l < last; ++l) {
-    const obs::LevelScope level_scope(l);
-    const Level& hl = h_->level(l);
-    LevelData& L = lv_[static_cast<std::size_t>(l)];
-    LevelData& C = lv_[static_cast<std::size_t>(l) + 1];
-    restrict_to_coarse<CT>(hl.to_coarse, hl.A_full.block_size(),
-                           {L.f.data(), L.f.size()},
-                           {C.f.data(), C.f.size()});
-  }
-  // Bootstrap: exact solve on the coarsest level (its extra F-cycle visit).
-  cycle(last, /*zero_guess=*/true);
-  // Upward: FMG-interpolate the coarser solution as this level's initial
-  // guess (zero u, then the same trilinear prolong_add the V-cycle uses),
-  // and run one V sub-cycle rooted here.
-  for (int l = last - 1; l >= 0; --l) {
-    const Level& hl = h_->level(l);
-    LevelData& L = lv_[static_cast<std::size_t>(l)];
-    LevelData& C = lv_[static_cast<std::size_t>(l) + 1];
-    {
-      const obs::LevelScope level_scope(l);
-      set_zero(std::span<CT>{L.u.data(), L.u.size()});
-      prolong_add<CT>(hl.to_coarse, hl.A_full.block_size(),
-                      {C.u.data(), C.u.size()}, {L.u.data(), L.u.size()});
+void VectorOps<CT>::coarse_solve(int l) {
+  // Coarsest level: exact FP64 direct solve of the true operator.
+  LevelData<CT>& L = level(l);
+  const obs::KernelSpan span(obs::Kind::CoarseSolve);
+  h_.coarse_solver().solve<CT>({L.f.data(), L.f.size()},
+                               {L.u.data(), L.u.size()});
+}
+
+template <class CT>
+void VectorOps<CT>::restrict_rhs(int l) {
+  const Level& hl = h_.level(l);
+  LevelData<CT>& L = level(l);
+  LevelData<CT>& C = level(l + 1);
+  restrict_to_coarse<CT>(hl.to_coarse, hl.A_full.block_size(),
+                         {L.f.data(), L.f.size()}, {C.f.data(), C.f.size()});
+}
+
+template <class CT>
+void VectorOps<CT>::prolong_add(int l) {
+  const Level& hl = h_.level(l);
+  LevelData<CT>& L = level(l);
+  LevelData<CT>& C = level(l + 1);
+  smg::prolong_add<CT>(hl.to_coarse, hl.A_full.block_size(),
+                       {C.u.data(), C.u.size()}, {L.u.data(), L.u.size()});
+}
+
+// ---- panel backend --------------------------------------------------------
+
+namespace {
+
+/// Panel backend of run_cycle: VectorOps with the k-column kernels, column
+/// c bitwise identical to a single-vector cycle of that column.  Level
+/// q2/invdiag are read from the single-vector storage.
+template <class CT>
+class PanelOps {
+ public:
+  PanelOps(const MGHierarchy& h, std::vector<LevelData<CT>>& lv,
+           std::vector<PanelData<CT>>& pv, avec<CT>& colf, avec<CT>& colu)
+      : h_(h), lv_(lv), pv_(pv), colf_(colf), colu_(colu) {}
+
+  int nu1() const noexcept { return h_.config().nu1; }
+  int nu2() const noexcept { return h_.config().nu2; }
+
+  void zero(int l) { panel(l).u.fill(CT{0}); }
+
+  void smooth(int l, bool forward) {
+    const Level& hl = h_.level(l);
+    const LevelData<CT>& L = lv_[static_cast<std::size_t>(l)];
+    PanelData<CT>& P = panel(l);
+    const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
+    const MGConfig& cfg = h_.config();
+    std::span<const CT> invdiag{L.invdiag.data(), L.invdiag.size()};
+    if (cfg.smoother == SmootherType::SymGS) {
+      const WavefrontSchedule* wf =
+          hl.smoother_wf.valid() ? &hl.smoother_wf : nullptr;
+      hl.A_stored.visit([&](const auto& m) {
+        if (forward) {
+          gs_forward_many(m, P.f, P.u, invdiag, q2, wf);
+        } else {
+          gs_backward_many(m, P.f, P.u, invdiag, q2, wf);
+        }
+      });
+      return;
     }
-    cycle(l, /*zero_guess=*/false);
+    // Panel Jacobi: the same double-buffered residual-fused sweep as the
+    // single-vector path, all columns per matrix pass.
+    if (P.r.rows() != P.u.rows() || P.r.cols() != P.u.cols()) {
+      P.r.resize(P.u.rows(), P.u.cols());
+    }
+    const CT w = static_cast<CT>(cfg.jacobi_weight);
+    hl.A_stored.visit([&](const auto& m) {
+      jacobi_sweep_fused_many(m, P.f, P.u, invdiag, q2, w, P.r);
+    });
+    std::swap(P.u, P.r);
+  }
+
+  void downstroke(int l) {
+    const Level& hl = h_.level(l);
+    const LevelData<CT>& L = lv_[static_cast<std::size_t>(l)];
+    PanelData<CT>& P = panel(l);
+    PanelData<CT>& C = panel(l + 1);
+    const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
+    if (h_.config().fused_transfers != FusedTransfers::Off) {
+      hl.A_stored.visit([&](const auto& m) {
+        residual_restrict_many(m, P.f, P.u, q2, hl.to_coarse, C.f);
+      });
+      return;
+    }
+    hl.A_stored.visit(
+        [&](const auto& m) { residual_many(m, P.f, P.u, P.r, q2); });
+    restrict_to_coarse_many<CT>(hl.to_coarse, hl.A_full.block_size(), P.r,
+                                C.f);
+  }
+
+  void coarse_solve(int l) {
+    // The dense FP64 solve is inherently per-column; peel the panel.
+    // Padding columns are never touched and stay zero.
+    PanelData<CT>& P = panel(l);
+    const obs::KernelSpan span(obs::Kind::CoarseSolve);
+    const std::size_t n = static_cast<std::size_t>(P.f.rows());
+    colf_.resize(n);
+    colu_.resize(n);
+    for (int c = 0; c < P.f.cols(); ++c) {
+      P.f.extract_col(c, {colf_.data(), n});
+      h_.coarse_solver().solve<CT>({colf_.data(), n}, {colu_.data(), n});
+      P.u.insert_col(c, {colu_.data(), n});
+    }
+  }
+
+  void restrict_rhs(int l) {
+    const Level& hl = h_.level(l);
+    restrict_to_coarse_many<CT>(hl.to_coarse, hl.A_full.block_size(),
+                                panel(l).f, panel(l + 1).f);
+  }
+
+  void prolong_add(int l) {
+    const Level& hl = h_.level(l);
+    prolong_add_many<CT>(hl.to_coarse, hl.A_full.block_size(),
+                         panel(l + 1).u, panel(l).u);
+  }
+
+ private:
+  PanelData<CT>& panel(int l) { return pv_[static_cast<std::size_t>(l)]; }
+
+  const MGHierarchy& h_;
+  const std::vector<LevelData<CT>>& lv_;
+  std::vector<PanelData<CT>>& pv_;
+  avec<CT>& colf_;
+  avec<CT>& colu_;
+};
+
+/// dst = src ./ q2 row-wise: the single-vector ewise_div, every column of
+/// the row sharing one q2 read.  Padding: 0 / q2 == +0.
+template <class CT>
+void div_rows(const MultiVector<CT>& src, const CT* SMG_RESTRICT q2,
+              MultiVector<CT>& dst) {
+  const std::int64_t rows = src.rows();
+  const int kp = src.padded_cols();
+  const CT* SMG_RESTRICT x = src.data();
+  CT* SMG_RESTRICT y = dst.data();
+  for (std::int64_t row = 0; row < rows; ++row) {
+    const CT q = q2[row];
+    for (int c = 0; c < kp; ++c) {
+      y[row * kp + c] = x[row * kp + c] / q;
+    }
   }
 }
+
+}  // namespace
 
 template <class CT>
 void MGPrecond<CT>::ensure_panels(int k) {
   const int nlev = h_->nlevels();
   if (pv_.size() != static_cast<std::size_t>(nlev)) {
-    pv_.assign(static_cast<std::size_t>(nlev), PanelData{});
+    pv_.assign(static_cast<std::size_t>(nlev), PanelData<CT>{});
   }
   const MGConfig& cfg = h_->config();
   for (int l = 0; l < nlev; ++l) {
     const std::int64_t n = h_->level(l).A_full.nrows();
-    PanelData& P = pv_[static_cast<std::size_t>(l)];
+    PanelData<CT>& P = pv_[static_cast<std::size_t>(l)];
     if (P.u.rows() != n || P.u.cols() != k) {
       P.u.resize(n, k);
       P.f.resize(n, k);
@@ -227,129 +313,9 @@ void MGPrecond<CT>::ensure_panels(int k) {
 }
 
 template <class CT>
-void MGPrecond<CT>::smooth_many(int lev, bool forward) {
-  const Level& hl = h_->level(lev);
-  LevelData& L = lv_[static_cast<std::size_t>(lev)];
-  PanelData& P = pv_[static_cast<std::size_t>(lev)];
-  const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
-  const MGConfig& cfg = h_->config();
-  std::span<const CT> invdiag{L.invdiag.data(), L.invdiag.size()};
-
-  if (cfg.smoother == SmootherType::SymGS) {
-    const WavefrontSchedule* wf =
-        hl.smoother_wf.valid() ? &hl.smoother_wf : nullptr;
-    hl.A_stored.visit([&](const auto& m) {
-      if (forward) {
-        gs_forward_many(m, P.f, P.u, invdiag, q2, wf);
-      } else {
-        gs_backward_many(m, P.f, P.u, invdiag, q2, wf);
-      }
-    });
-    return;
-  }
-
-  // Panel Jacobi: the same double-buffered residual-fused sweep as the
-  // single-vector path, all columns per matrix pass.
-  if (P.r.rows() != P.u.rows() || P.r.cols() != P.u.cols()) {
-    P.r.resize(P.u.rows(), P.u.cols());
-  }
-  const CT w = static_cast<CT>(cfg.jacobi_weight);
-  hl.A_stored.visit([&](const auto& m) {
-    jacobi_sweep_fused_many(m, P.f, P.u, invdiag, q2, w, P.r);
-  });
-  std::swap(P.u, P.r);
-}
-
-template <class CT>
-void MGPrecond<CT>::cycle_many(int lev, bool zero_guess) {
-  const int last = h_->nlevels() - 1;
-  PanelData& P = pv_[static_cast<std::size_t>(lev)];
-  LevelData& L = lv_[static_cast<std::size_t>(lev)];
-  const Level& hl = h_->level(lev);
-  const MGConfig& cfg = h_->config();
-
-  const obs::LevelScope level_scope(lev);
-  const obs::ScopedSpan level_span(obs::Kind::Level);
-
-  if (lev == last) {
-    // Coarsest level: the dense FP64 solve is inherently per-column; peel
-    // the panel.  Padding columns are never touched and stay zero.
-    const obs::KernelSpan span(obs::Kind::CoarseSolve);
-    const std::size_t n = static_cast<std::size_t>(P.f.rows());
-    colbuf_f_.resize(n);
-    colbuf_u_.resize(n);
-    for (int c = 0; c < P.f.cols(); ++c) {
-      P.f.extract_col(c, {colbuf_f_.data(), n});
-      h_->coarse_solver().solve<CT>({colbuf_f_.data(), n},
-                                    {colbuf_u_.data(), n});
-      P.u.insert_col(c, {colbuf_u_.data(), n});
-    }
-    return;
-  }
-
-  if (zero_guess) {
-    P.u.fill(CT{0});
-  }
-  for (int s = 0; s < cfg.nu1; ++s) {
-    smooth_many(lev, /*forward=*/true);
-  }
-
-  const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
-  PanelData& C = pv_[static_cast<std::size_t>(lev) + 1];
-  if (cfg.fused_transfers != FusedTransfers::Off) {
-    hl.A_stored.visit([&](const auto& m) {
-      residual_restrict_many(m, P.f, P.u, q2, hl.to_coarse, C.f);
-    });
-  } else {
-    hl.A_stored.visit([&](const auto& m) {
-      residual_many(m, P.f, P.u, P.r, q2);
-    });
-    restrict_to_coarse_many<CT>(hl.to_coarse, hl.A_full.block_size(), P.r,
-                                C.f);
-  }
-
-  cycle_many(lev + 1, /*zero_guess=*/true);
-  if (shape_ == CycleShape::W && lev + 1 < last) {
-    cycle_many(lev + 1, /*zero_guess=*/false);
-  }
-
-  prolong_add_many<CT>(hl.to_coarse, hl.A_full.block_size(), C.u, P.u);
-  for (int s = 0; s < cfg.nu2; ++s) {
-    smooth_many(lev, /*forward=*/false);
-  }
-}
-
-template <class CT>
-void MGPrecond<CT>::fcycle_many() {
-  // Panel F-cycle: fcycle() with the k-column transfer kernels, column c
-  // bitwise identical to a single-vector fcycle of that column.
-  const int last = h_->nlevels() - 1;
-  for (int l = 0; l < last; ++l) {
-    const obs::LevelScope level_scope(l);
-    const Level& hl = h_->level(l);
-    PanelData& P = pv_[static_cast<std::size_t>(l)];
-    PanelData& C = pv_[static_cast<std::size_t>(l) + 1];
-    restrict_to_coarse_many<CT>(hl.to_coarse, hl.A_full.block_size(), P.f,
-                                C.f);
-  }
-  cycle_many(last, /*zero_guess=*/true);
-  for (int l = last - 1; l >= 0; --l) {
-    const Level& hl = h_->level(l);
-    PanelData& P = pv_[static_cast<std::size_t>(l)];
-    PanelData& C = pv_[static_cast<std::size_t>(l) + 1];
-    {
-      const obs::LevelScope level_scope(l);
-      P.u.fill(CT{0});
-      prolong_add_many<CT>(hl.to_coarse, hl.A_full.block_size(), C.u, P.u);
-    }
-    cycle_many(l, /*zero_guess=*/false);
-  }
-}
-
-template <class CT>
 void MGPrecond<CT>::apply_many(const MultiVector<CT>& r, MultiVector<CT>& e) {
   if (engine_ != nullptr) {
-    // The decomposed engine is single-vector: peel the panel column-wise
+    // The decomposed backend is single-vector: peel the panel column-wise
     // (box parallelism replaces panel amortization when sharding is on).
     SMG_CHECK(r.rows() == e.rows() && r.cols() == e.cols(),
               "MG apply_many size mismatch");
@@ -358,49 +324,26 @@ void MGPrecond<CT>::apply_many(const MultiVector<CT>& r, MultiVector<CT>& e) {
     colbuf_u_.resize(n);
     for (int c = 0; c < r.cols(); ++c) {
       r.extract_col(c, {colbuf_f_.data(), n});
-      engine_->apply({colbuf_f_.data(), n}, {colbuf_u_.data(), n});
+      apply({colbuf_f_.data(), n}, {colbuf_u_.data(), n});
       e.insert_col(c, {colbuf_u_.data(), n});
     }
     return;
   }
   ensure_panels(r.cols());
-  PanelData& P0 = pv_.front();
+  PanelData<CT>& P0 = pv_.front();
   SMG_CHECK(r.rows() == P0.f.rows() && e.rows() == P0.u.rows() &&
                 r.cols() == e.cols() &&
                 r.padded_cols() == P0.f.padded_cols(),
             "MG apply_many size mismatch");
-  const int kp = r.padded_cols();
-  const std::int64_t rows = r.rows();
   if (h_->finest_wrapped()) {
-    // Same per-element division as the single-vector ewise_div, every
-    // column of the row sharing one q2 read.  Padding: 0 / q2 == +0.
-    const CT* SMG_RESTRICT q2w = wrap_q2_.data();
-    const CT* SMG_RESTRICT src = r.data();
-    CT* SMG_RESTRICT dst = P0.f.data();
-    for (std::int64_t row = 0; row < rows; ++row) {
-      const CT q = q2w[row];
-      for (int c = 0; c < kp; ++c) {
-        dst[row * kp + c] = src[row * kp + c] / q;
-      }
-    }
+    div_rows(r, wrap_q2_.data(), P0.f);
   } else {
     copy_convert<CT, CT>({r.data(), r.size()}, {P0.f.data(), P0.f.size()});
   }
-  if (shape_ == CycleShape::F) {
-    fcycle_many();
-  } else {
-    cycle_many(0, /*zero_guess=*/true);
-  }
+  PanelOps<CT> ops(*h_, lv_, pv_, colbuf_f_, colbuf_u_);
+  run_cycle(ops, shape_, h_->nlevels());
   if (h_->finest_wrapped()) {
-    const CT* SMG_RESTRICT q2w = wrap_q2_.data();
-    const CT* SMG_RESTRICT src = P0.u.data();
-    CT* SMG_RESTRICT dst = e.data();
-    for (std::int64_t row = 0; row < rows; ++row) {
-      const CT q = q2w[row];
-      for (int c = 0; c < kp; ++c) {
-        dst[row * kp + c] = src[row * kp + c] / q;
-      }
-    }
+    div_rows(P0.u, wrap_q2_.data(), e);
   } else {
     copy_convert<CT, CT>({P0.u.data(), P0.u.size()}, {e.data(), e.size()});
   }
@@ -408,11 +351,7 @@ void MGPrecond<CT>::apply_many(const MultiVector<CT>& r, MultiVector<CT>& e) {
 
 template <class CT>
 void MGPrecond<CT>::apply(std::span<const CT> r, std::span<CT> e) {
-  if (engine_ != nullptr) {
-    engine_->apply(r, e);
-    return;
-  }
-  LevelData& L0 = lv_.front();
+  LevelData<CT>& L0 = lv_.front();
   SMG_CHECK(r.size() == L0.f.size() && e.size() == L0.u.size(),
             "MG apply size mismatch");
   const std::span<const CT> q2w{wrap_q2_.data(), wrap_q2_.size()};
@@ -423,10 +362,11 @@ void MGPrecond<CT>::apply(std::span<const CT> r, std::span<CT> e) {
   } else {
     copy_convert<CT, CT>(r, {L0.f.data(), L0.f.size()});
   }
-  if (shape_ == CycleShape::F) {
-    fcycle();
+  VectorOps<CT> ops(*h_, lv_);
+  if (engine_ != nullptr) {
+    engine_->apply(ops, shape_);
   } else {
-    cycle(0, /*zero_guess=*/true);
+    run_cycle(ops, shape_, h_->nlevels());
   }
   if (h_->finest_wrapped()) {
     ewise_div<CT>({L0.u.data(), L0.u.size()}, q2w, e);
@@ -571,6 +511,8 @@ std::unique_ptr<PrecondBase<KT>> make_mg_precond(MGHierarchy& h) {
   return std::make_unique<MGPrecondAdapter<KT, float>>(&h);
 }
 
+template class VectorOps<float>;
+template class VectorOps<double>;
 template class MGPrecond<float>;
 template class MGPrecond<double>;
 template class MGPrecondAdapter<double, float>;

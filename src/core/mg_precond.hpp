@@ -1,4 +1,4 @@
-// MG_solve_with_FP16 (Alg. 3): the V/W-cycle in preconditioner compute
+// MG_solve_with_FP16 (Alg. 3): the V/W/F-cycle in preconditioner compute
 // precision CT, reading matrices in storage precision with recover-and-
 // rescale on the fly.
 #pragma once
@@ -17,9 +17,52 @@
 
 namespace smg {
 
-/// One multigrid cycle application engine in compute precision CT.
-/// All vectors (u, f, r on every level) live in CT — never below FP32
-/// (guideline §3.4).
+/// Per-level single-vector storage of MGPrecond, in compute precision CT —
+/// never below FP32 (guideline §3.4).
+template <class CT>
+struct LevelData {
+  avec<CT> u, f, r;
+  avec<CT> q2;       ///< empty unless the level was scaled
+  avec<CT> invdiag;  ///< smoother blocks in compute precision
+};
+
+/// Panel (multi-RHS) counterparts of LevelData's u/f/r.  The r panel only
+/// exists on the unfused reference path and as the Jacobi ping-pong buffer,
+/// mirroring LevelData.
+template <class CT>
+struct PanelData {
+  MultiVector<CT> u, f, r;
+};
+
+/// Single-vector backend of run_cycle (core/cycle.hpp): each level op is
+/// one kernel pass over level vectors `lv`, reading the hierarchy's stored
+/// matrices.  A view — MGPrecond owns the storage; DecompEngine sends its
+/// unboxed levels here.
+template <class CT>
+class VectorOps {
+ public:
+  VectorOps(const MGHierarchy& h, std::vector<LevelData<CT>>& lv)
+      : h_(h), lv_(lv) {}
+
+  int nu1() const noexcept { return h_.config().nu1; }
+  int nu2() const noexcept { return h_.config().nu2; }
+  void zero(int l);
+  void smooth(int l, bool forward);
+  void downstroke(int l);
+  void coarse_solve(int l);
+  void restrict_rhs(int l);
+  void prolong_add(int l);
+
+  LevelData<CT>& level(int l) { return lv_[static_cast<std::size_t>(l)]; }
+
+ private:
+  const MGHierarchy& h_;
+  std::vector<LevelData<CT>>& lv_;
+};
+
+/// One multigrid cycle application engine in compute precision CT: owns
+/// the level vectors and runs run_cycle over the single-vector, panel or
+/// (when MGConfig::decomp splits the finest level) box-decomposed backend.
 template <class CT>
 class MGPrecond {
  public:
@@ -48,46 +91,22 @@ class MGPrecond {
   /// recurse as the shape dictates: W revisits children, F runs V
   /// sub-cycles above its FMG-interpolated guesses.
   CycleShape cycle_shape() const noexcept { return shape_; }
-  void set_cycle_shape(CycleShape s) noexcept;
+  void set_cycle_shape(CycleShape s) noexcept { shape_ = s; }
 
  private:
-  void cycle(int lev, bool zero_guess);
-  void smooth(int lev, bool forward);
-  void cycle_many(int lev, bool zero_guess);
-  void smooth_many(int lev, bool forward);
-  /// FMG F-cycle (docs/CYCLE_SHAPES.md): inject the rhs level by level to
-  /// the coarsest (with a zero guess the residual IS the rhs, so the
-  /// injection is a pure restriction — no matrix pass), solve there, then
-  /// per level prolong the coarser solution as the initial guess and run
-  /// one V sub-cycle.  Reuses the unmodified transfer/smoother kernels.
-  void fcycle();
-  void fcycle_many();
   /// Size the panel level buffers for width k (no-op when already sized).
   void ensure_panels(int k);
 
-  struct LevelData {
-    avec<CT> u, f, r;
-    avec<CT> q2;       ///< empty unless the level was scaled
-    avec<CT> invdiag;  ///< smoother blocks in compute precision
-  };
-
-  /// Panel (multi-RHS) counterparts of LevelData's u/f/r; empty until the
-  /// first apply_many.  The r panel only exists on the unfused reference
-  /// path and as the Jacobi ping-pong buffer, mirroring LevelData.
-  struct PanelData {
-    MultiVector<CT> u, f, r;
-  };
-
   const MGHierarchy* h_;
   CycleShape shape_ = CycleShape::V;
-  std::vector<LevelData> lv_;
-  std::vector<PanelData> pv_;  ///< sized by ensure_panels (apply_many only)
+  std::vector<LevelData<CT>> lv_;
+  std::vector<PanelData<CT>> pv_;  ///< sized by ensure_panels (apply_many)
   avec<CT> colbuf_f_, colbuf_u_;  ///< per-column coarse-solve scratch
   avec<CT> wrap_q2_;  ///< finest Q^{1/2} when hierarchy.finest_wrapped()
-  /// Sharded (box-decomposed) cycle engine; constructed only when the
-  /// effective decomposition (MGConfig::decomp / SMG_DECOMP) splits the
-  /// finest level into more than one box.  apply() delegates to it;
-  /// apply_many peels panel columns through it.
+  /// Sharded (box-decomposed) backend; constructed only when the effective
+  /// decomposition (MGConfig::decomp / SMG_DECOMP) splits the finest level
+  /// into more than one box.  apply() cycles through it; apply_many peels
+  /// panel columns through apply().
   std::unique_ptr<DecompEngine<CT>> engine_;
 };
 
@@ -144,6 +163,8 @@ class MGPrecondAdapter final : public PrecondBase<KT> {
 template <class KT>
 std::unique_ptr<PrecondBase<KT>> make_mg_precond(MGHierarchy& h);
 
+extern template class VectorOps<float>;
+extern template class VectorOps<double>;
 extern template class MGPrecond<float>;
 extern template class MGPrecond<double>;
 extern template class MGPrecondAdapter<double, float>;

@@ -97,7 +97,8 @@ double dot(std::span<const T> x, std::span<const T> y) noexcept {
 /// the OpenMP thread count and identical run to run — unlike the plain
 /// `dot`, whose `reduction(+)` combines per-thread partials in
 /// scheduler-dependent order.  Costs one extra pass of block partials
-/// (n/4096 doubles); enable via SolveOptions::deterministic_reductions.
+/// (n/4096 doubles); selected by SolveOptions::deterministic_reductions
+/// (on by default).
 template <class T>
 double dot_deterministic(std::span<const T> x, std::span<const T> y) {
   const obs::KernelSpan span(obs::Kind::Blas1);

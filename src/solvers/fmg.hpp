@@ -38,7 +38,7 @@ struct FmgOptions {
   std::span<const KT> u_exact{};
   bool record_history = true;
   /// Fixed-blocking pairwise reductions (SolveOptions semantics).
-  bool deterministic_reductions = false;
+  bool deterministic_reductions = true;
   /// Max NonFinite events reported to a self-healing preconditioner; each
   /// successful repair retries the failed apply from the last good iterate.
   int heal_retries = 4;

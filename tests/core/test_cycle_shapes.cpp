@@ -1,5 +1,6 @@
 // Cycle-shape coverage (docs/CYCLE_SHAPES.md): the cycle_visits multiplicity
-// table matches the engines' measured Level spans for V, W and F; the
+// table matches the visits run_cycle makes on a counting backend and the
+// measured Level spans of the plain and decomposed engines for V, W and F; the
 // F-cycle is bitwise identical between the decomposed {2,2,2} and plain
 // paths and across OpenMP thread counts; one F-cycle reaches discretization
 // error on the manufactured laplace27 problem at FP64 and FP16 storage; the
@@ -8,10 +9,13 @@
 
 #include <omp.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
+#include "core/cycle.hpp"
 #include "core/mg_precond.hpp"
 #include "kernels/blas1.hpp"
 #include "obs/counters.hpp"
@@ -86,12 +90,57 @@ TEST(CycleVisits, EnvOverrideResolvesIntoHierarchyConfig) {
   EXPECT_EQ(M.cycle_shape(), CycleShape::F);
 }
 
+// ---- run_cycle visits == cycle_visits ------------------------------------
+
+/// Counting fake backend: a visit of level l is its one downstroke, or the
+/// coarse solve on the coarsest level.
+struct CountingOps {
+  explicit CountingOps(int nlevels)
+      : visits(nlevels, 0), sweeps(nlevels, 0), prolongs(nlevels, 0),
+        rhs_restricts(nlevels, 0), last(nlevels - 1) {}
+  int nu1() const { return 2; }
+  int nu2() const { return 1; }
+  void zero(int) {}
+  void smooth(int l, bool) { ++sweeps[l]; }
+  void downstroke(int l) { ++visits[l]; }
+  void coarse_solve(int l) {
+    EXPECT_EQ(l, last);
+    ++visits[l];
+  }
+  void restrict_rhs(int l) { ++rhs_restricts[l]; }
+  void prolong_add(int l) { ++prolongs[l]; }
+
+  std::vector<int> visits, sweeps, prolongs, rhs_restricts;
+  int last;
+};
+
+TEST(CycleVisits, RunCycleVisitsMatchModel) {
+  for (const CycleShape shape :
+       {CycleShape::V, CycleShape::W, CycleShape::F}) {
+    for (int nlev = 1; nlev <= 6; ++nlev) {
+      CountingOps ops(nlev);
+      run_cycle(ops, shape, nlev);
+      const bool f = shape == CycleShape::F;
+      for (int l = 0; l < nlev; ++l) {
+        const int v = static_cast<int>(cycle_visits(shape, l, nlev));
+        const bool coarsest = l == nlev - 1;
+        EXPECT_EQ(ops.visits[l], v)
+            << to_string(shape) << " nlevels=" << nlev << " level " << l;
+        EXPECT_EQ(ops.sweeps[l], coarsest ? 0 : 3 * v);
+        // F adds one FMG interpolation and one rhs injection per level.
+        EXPECT_EQ(ops.prolongs[l], coarsest ? 0 : v + (f ? 1 : 0));
+        EXPECT_EQ(ops.rhs_restricts[l], !coarsest && f ? 1 : 0);
+      }
+    }
+  }
+}
+
 // ---- measured Level spans == cycle_visits --------------------------------
 
-void expect_measured_visits(CycleShape shape) {
+void expect_measured_visits(CycleShape shape,
+                            std::array<int, 3> nb = {1, 1, 1}) {
   auto p = make_laplace27(Box{14, 14, 14});
-  MGConfig cfg = config_d16_setup_scale();
-  cfg.min_coarse_cells = 64;
+  MGConfig cfg = decomposed(config_d16_setup_scale(), nb);
   cfg.cycle = shape;
   cfg.telemetry = obs::TelemetryLevel::Counters;
   MGHierarchy h(std::move(p.A), cfg);
@@ -102,6 +151,9 @@ void expect_measured_visits(CycleShape shape) {
   const std::size_t n = p.b.size();
   avec<double> r(n, 1.0), e(n, 0.0);
   M->apply({r.data(), n}, {e.data(), n});
+  const bool boxed = nb != std::array<int, 3>{1, 1, 1};
+  EXPECT_EQ(t->halo_exchanges_total() > 0, boxed)
+      << "decomposed engine " << (boxed ? "not built" : "built");
   for (int l = 0; l < h.nlevels(); ++l) {
     EXPECT_EQ(t->stat(obs::Kind::Level, l).calls,
               static_cast<std::uint64_t>(
@@ -112,12 +164,15 @@ void expect_measured_visits(CycleShape shape) {
 
 TEST(CycleVisits, MeasuredLevelSpansMatchModelV) {
   expect_measured_visits(CycleShape::V);
+  expect_measured_visits(CycleShape::V, {2, 2, 2});
 }
 TEST(CycleVisits, MeasuredLevelSpansMatchModelW) {
   expect_measured_visits(CycleShape::W);
+  expect_measured_visits(CycleShape::W, {2, 2, 2});
 }
 TEST(CycleVisits, MeasuredLevelSpansMatchModelF) {
   expect_measured_visits(CycleShape::F);
+  expect_measured_visits(CycleShape::F, {2, 2, 2});
 }
 
 TEST(CycleVisits, ConversionVolumeMatchesMeasuredMatrixPassesUnderF) {

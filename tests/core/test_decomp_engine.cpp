@@ -1,9 +1,10 @@
 // Decomposed-engine equivalence: with raw-precision halos, a Jacobi-smoothed
 // V-cycle over {2,2,2} boxes is bitwise identical to the single-box path
-// across stencils, layouts, storage precisions and block sizes; PCG
-// convergence histories match exactly under deterministic reductions; the
-// decomposed SymGS variant (per-box sweeps, block-Jacobi boundary coupling)
-// still contracts; the FP16 halo wire stays within its tolerance contract.
+// across stencils, layouts, storage precisions (scaled levels included) and
+// block sizes; PCG convergence histories match exactly under deterministic
+// reductions; the decomposed SymGS variant (per-box sweeps, block-Jacobi
+// boundary coupling) still contracts and converges on scaled FP16 levels;
+// the FP16 halo wire stays within its tolerance contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -61,6 +62,19 @@ TEST(DecompEngine, JacobiBitwiseIdenticalAcrossPrecisionConfigs) {
                               config_d16_scale_setup()}}) {
     MGConfig cfg = tc.cfg;
     cfg.smoother = SmootherType::Jacobi;
+    if (std::string(tc.name) == "D16-setup-scale") {
+      // Scaled levels with strongly varying q2: ghost cells must carry the
+      // neighbouring boxes' true q2.
+      expect_bitwise_equal_apply<float>(make_rhd(Box{16, 16, 16}),
+                                        make_rhd(Box{16, 16, 16}), cfg,
+                                        "D16-setup-scale rhd");
+      expect_bitwise_equal_apply<float>(make_rhd3t(Box{16, 16, 16}),
+                                        make_rhd3t(Box{16, 16, 16}), cfg,
+                                        "D16-setup-scale rhd3t");
+      expect_bitwise_equal_apply<float>(make_oil4c(Box{16, 16, 16}),
+                                        make_oil4c(Box{16, 16, 16}), cfg,
+                                        "D16-setup-scale oil4c");
+    }
     if (std::string(tc.name) == "Full64") {
       expect_bitwise_equal_apply<double>(make_laplace27(Box{17, 17, 17}),
                                          make_laplace27(Box{17, 17, 17}), cfg,
@@ -167,6 +181,27 @@ TEST(DecompEngine, DecomposedSymGSStillContracts) {
     residual<double, double>(A, {b.data(), n}, {x.data(), n}, {r.data(), n});
   }
   EXPECT_LT(nrm2<double>({r.data(), n}) / r0, 1e-2);
+}
+
+TEST(DecompEngine, DecomposedSymGSConvergesOnScaledFp16Levels) {
+  // rhd's scaled FP16 levels under the default SymGS smoother: per-box
+  // sweeps read ghost neighbours through the true q2.
+  auto p = make_rhd(Box{24, 24, 24});
+  const StructMat<double> A = p.A;
+  MGHierarchy h(std::move(p.A),
+                decomposed(config_d16_setup_scale(), {2, 2, 2}));
+  ASSERT_TRUE(h.level(0).scaled);
+  auto M = make_mg_precond<double>(h);
+  const std::size_t n = p.b.size();
+  const LinOp<double> op = [&A](std::span<const double> x,
+                                std::span<double> y) {
+    spmv<double, double>(A, x, y);
+  };
+  SolveOptions opts;
+  opts.max_iters = 60;
+  avec<double> x(n, 0.0);
+  const auto res = pcg<double>(op, {p.b.data(), n}, {x.data(), n}, *M, opts);
+  EXPECT_TRUE(res.converged) << res.iters << " iterations";
 }
 
 TEST(DecompEngine, Fp16HaloStaysCloseToRawHalo) {
