@@ -10,9 +10,8 @@ namespace smg {
 
 namespace {
 
-/// Per-dimension lookup tables for the triple product, computed once per
-/// coarsening instead of per cell (parents_of in the innermost loop used to
-/// dominate the whole setup phase).
+/// Per-dimension lookup tables for the per-cell rule, computed once per
+/// coarsening instead of per cell.
 struct DimTables {
   /// R-support of coarse index c: up to 3 (fine index, weight) pairs.
   struct RSup {
@@ -66,6 +65,121 @@ DimTables make_tables(int nf, int nc, bool coarsened) {
   return t;
 }
 
+/// Clipping class of coarse index c along one dimension of extent nc:
+/// bit 0 = low end, bit 1 = high end, 0 = interior.  Extent 1 makes the
+/// only index both ends.  With the Coarsening::make extents (nf = 2nc-1 or
+/// 2nc when halved, nf = nc otherwise) no interior index clips its
+/// R-support, its fine neighbors or their P-parents, so every index of one
+/// class has the same per-cell rule up to translation.
+int clip_class(int c, int nc) noexcept {
+  return (c == 0 ? 1 : 0) | (c == nc - 1 ? 2 : 0);
+}
+
+/// A coarse index of class `cls` (which must occur at extent nc).
+int representative(int cls, int nc) noexcept {
+  return cls == 0 ? 1 : (cls == 2 ? nc - 1 : 0);
+}
+
+/// One `A_c += w * A` contribution, as value offsets from the first fine
+/// block and the first coarse block of the coarse cell it belongs to.
+struct Term {
+  std::int64_t src;
+  std::int64_t dst;
+  double w;
+};
+
+/// The per-cell Galerkin rule on coarse cell (ci,cj,ck):
+///   A_c(I, J-I) += rscale * R(I,i) * A(i, i+s) * P(i+s, J)
+/// passed to `emit` as Terms in its summation order (R-support z,y,x; fine
+/// stencil entry; P-parents z,y,x).  A is SOA.
+template <class Emit>
+void cell_terms(const StructMat<double>& A, const Coarsening& c,
+                const DimTables& tx, const DimTables& ty, const DimTables& tz,
+                const int (&cdiag_of)[3][3][3], int ci, int cj, int ck,
+                Emit&& emit) {
+  const Box& fine = c.fine;
+  const Stencil& st = A.stencil();
+  const std::int64_t block2 =
+      static_cast<std::int64_t>(A.block_size()) * A.block_size();
+  const double rscale = c.restrict_scale();
+  const std::int64_t fbase =
+      fine.idx(c.mask[0] ? 2 * ci : ci, c.mask[1] ? 2 * cj : cj,
+               c.mask[2] ? 2 * ck : ck);
+  const auto& sz = tz.rsup[static_cast<std::size_t>(ck)];
+  const auto& sy = ty.rsup[static_cast<std::size_t>(cj)];
+  const auto& sx = tx.rsup[static_cast<std::size_t>(ci)];
+  for (int a = 0; a < sz.count; ++a) {
+    const int fk = sz.fi[a];
+    for (int bq = 0; bq < sy.count; ++bq) {
+      const int fj = sy.fi[bq];
+      const double wzy = sz.w[a] * sy.w[bq];
+      for (int e = 0; e < sx.count; ++e) {
+        const int fi = sx.fi[e];
+        const double wr = rscale * wzy * sx.w[e];
+        const std::int64_t fcell = fine.idx(fi, fj, fk);
+        for (int d = 0; d < st.ndiag(); ++d) {
+          const Offset& o = st.offset(d);
+          const int gi = fi + o.dx;
+          const int gj = fj + o.dy;
+          const int gk = fk + o.dz;
+          if (!fine.contains(gi, gj, gk)) {
+            continue;
+          }
+          const std::int64_t src =
+              (static_cast<std::int64_t>(d) * fine.size() + fcell - fbase) *
+              block2;
+          const auto& pi = tx.ppar[static_cast<std::size_t>(gi)];
+          const auto& pj = ty.ppar[static_cast<std::size_t>(gj)];
+          const auto& pk = tz.ppar[static_cast<std::size_t>(gk)];
+          for (int qa = 0; qa < pk.count; ++qa) {
+            const int ddz = pk.ci[qa] - ck;
+            if (ddz < -1 || ddz > 1) {
+              continue;
+            }
+            for (int qb = 0; qb < pj.count; ++qb) {
+              const int ddy = pj.ci[qb] - cj;
+              if (ddy < -1 || ddy > 1) {
+                continue;
+              }
+              const double wzy2 = pk.w[qa] * pj.w[qb];
+              for (int qc = 0; qc < pi.count; ++qc) {
+                const int ddx = pi.ci[qc] - ci;
+                if (ddx < -1 || ddx > 1) {
+                  continue;
+                }
+                const int cd = cdiag_of[ddz + 1][ddy + 1][ddx + 1];
+                emit(Term{src, cd * c.coarse.size() * block2,
+                          wr * wzy2 * pi.w[qc]});
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// dst[i] += w * src[i * S] over one coarse x-run (scalar blocks).
+template <int S>
+void line_axpy(double* SMG_RESTRICT dst, const double* SMG_RESTRICT src,
+               double w, std::int64_t n) noexcept {
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] += w * src[i * S];
+  }
+}
+
+/// Block variant: block i of dst gains w times the block at i * sstride.
+void line_axpy_blocks(double* SMG_RESTRICT dst,
+                      const double* SMG_RESTRICT src, double w,
+                      std::int64_t n, std::int64_t sstride,
+                      std::int64_t block2) noexcept {
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t q = 0; q < block2; ++q) {
+      dst[i * block2 + q] += w * src[i * sstride + q];
+    }
+  }
+}
+
 }  // namespace
 
 std::array<double, 3> coupling_strengths(const StructMat<double>& A) {
@@ -98,12 +212,22 @@ StructMat<double> galerkin_coarsen(const StructMat<double>& A,
   SMG_CHECK(A.box() == c.fine, "coarsening geometry mismatch");
   const Box& fine = c.fine;
   const Box& coarse = c.coarse;
-  const Stencil& st = A.stencil();
+  const auto halved = [](int nf, int nc, bool m) {
+    return nc == (m ? (nf + 1) / 2 : nf);
+  };
+  SMG_CHECK(halved(fine.nx, coarse.nx, c.mask[0]) &&
+                halved(fine.ny, coarse.ny, c.mask[1]) &&
+                halved(fine.nz, coarse.nz, c.mask[2]),
+            "coarse extents do not follow the coarsening mask");
+  if (A.layout() != Layout::SOA) {
+    // The line kernel walks SOA diagonals; layout changes are exact copies.
+    return convert<double>(
+        galerkin_coarsen(convert<double>(A, Layout::SOA), c), A.layout());
+  }
   const int bs = A.block_size();
-  const int nd = st.ndiag();
   const std::int64_t block2 = static_cast<std::int64_t>(bs) * bs;
 
-  StructMat<double> Ac(coarse, Stencil::make(Pattern::P3d27), bs, A.layout());
+  StructMat<double> Ac(coarse, Stencil::make(Pattern::P3d27), bs, Layout::SOA);
   const Stencil& cst = Ac.stencil();
 
   // Coarse offset (dx,dy,dz) in {-1,0,1}^3 -> index in the 3d27 stencil.
@@ -120,201 +244,63 @@ StructMat<double> galerkin_coarsen(const StructMat<double>& A,
   const DimTables tx = make_tables(fine.nx, coarse.nx, c.mask[0]);
   const DimTables ty = make_tables(fine.ny, coarse.ny, c.mask[1]);
   const DimTables tz = make_tables(fine.nz, coarse.nz, c.mask[2]);
-  const double rscale = c.restrict_scale();
 
-  // Hoist the stencil offsets into flat arrays.
-  int odx[32], ody[32], odz[32];
-  SMG_CHECK(nd <= 32, "stencil wider than 3x3x3 is unsupported");
-  for (int d = 0; d < nd; ++d) {
-    odx[d] = st.offset(d).dx;
-    ody[d] = st.offset(d).dy;
-    odz[d] = st.offset(d).dz;
-  }
-
-  // ---- stencil collapse for interior coarse cells (StructMG-style) ----
-  // Away from boundaries, every coarse cell applies the *same* linear map
-  // from the fine stencil values in its 2I-neighborhood to its 27 coarse
-  // entries.  Precompute that map once as a flat tuple list:
-  //   read fine value at (cell 2I + t, diag d)  ->  scatter to coarse diag
-  //   cd with weight w.
-  // The generic per-cell path below remains for boundary cells (and non-SOA
-  // chains), where clipping makes the weights cell-dependent.
-  struct Read {
-    std::int64_t aoff;  ///< value offset relative to block (2I, diag 0)
-    int ntarget;
+  // One term table per occurring (x, y, z) clipping class, built by the
+  // per-cell rule on a representative cell: every cell of a class applies
+  // the same terms at the same offsets from its own fine and coarse base.
+  const auto occurs = [](int cls, int nc) {
+    const int rep = representative(cls, nc);
+    return rep < nc && clip_class(rep, nc) == cls;
   };
-  struct Target {
-    int cd;
-    double w;
-  };
-  std::vector<Read> reads;
-  std::vector<Target> targets;
-  const bool collapse_ok = A.layout() == Layout::SOA;
-  if (collapse_ok) {
-    // Relative P-parents of a fine offset g (in [-2,2]) for one dimension.
-    const auto rel_parents = [](int g, bool coarsened, int out_ci[2],
-                                double out_w[2]) {
-      if (!coarsened) {
-        out_ci[0] = g;
-        out_w[0] = 1.0;
-        return 1;
-      }
-      if ((g & 1) == 0) {
-        out_ci[0] = g / 2;
-        out_w[0] = 1.0;
-        return 1;
-      }
-      // Odd offsets: round toward both neighbors with weight 1/2.  (g-1)/2
-      // with C++ truncation handles negative g correctly for g in {-1, 1}:
-      const int lo = (g - 1) / 2 + ((g < 0 && (g - 1) % 2 != 0) ? -1 : 0);
-      out_ci[0] = lo;
-      out_w[0] = 0.5;
-      out_ci[1] = lo + 1;
-      out_w[1] = 0.5;
-      return 2;
-    };
-    const int tx0 = c.mask[0] ? -1 : 0, tx1 = c.mask[0] ? 1 : 0;
-    const int ty0 = c.mask[1] ? -1 : 0, ty1 = c.mask[1] ? 1 : 0;
-    const int tz0 = c.mask[2] ? -1 : 0, tz1 = c.mask[2] ? 1 : 0;
-    for (int tzv = tz0; tzv <= tz1; ++tzv) {
-      for (int tyv = ty0; tyv <= ty1; ++tyv) {
-        for (int txv = tx0; txv <= tx1; ++txv) {
-          const double wr =
-              rscale * (txv == 0 ? 1.0 : 0.5) * (tyv == 0 ? 1.0 : 0.5) *
-              (tzv == 0 ? 1.0 : 0.5);
-          const std::int64_t foff =
-              txv + static_cast<std::int64_t>(fine.nx) *
-                        (tyv + static_cast<std::int64_t>(fine.ny) * tzv);
-          for (int d = 0; d < nd; ++d) {
-            Read rd;
-            rd.aoff =
-                (static_cast<std::int64_t>(d) * A.ncells() + foff) * block2;
-            rd.ntarget = 0;
-            int cix[2], ciy[2], ciz[2];
-            double wx[2], wy[2], wz[2];
-            const int npx =
-                rel_parents(txv + odx[d], c.mask[0], cix, wx);
-            const int npy =
-                rel_parents(tyv + ody[d], c.mask[1], ciy, wy);
-            const int npz =
-                rel_parents(tzv + odz[d], c.mask[2], ciz, wz);
-            for (int a = 0; a < npz; ++a) {
-              for (int bq = 0; bq < npy; ++bq) {
-                for (int e = 0; e < npx; ++e) {
-                  SMG_CHECK(std::abs(cix[e]) <= 1 && std::abs(ciy[bq]) <= 1 &&
-                                std::abs(ciz[a]) <= 1,
-                            "collapse target outside 3d27");
-                  targets.push_back(
-                      {cdiag_of[ciz[a] + 1][ciy[bq] + 1][cix[e] + 1],
-                       wr * wz[a] * wy[bq] * wx[e]});
-                  ++rd.ntarget;
-                }
-              }
-            }
-            reads.push_back(rd);
-          }
-        }
-      }
+  std::vector<Term> table[64];
+  for (int k = 0; k < 64; ++k) {
+    const int cx = k & 3, cy = (k >> 2) & 3, cz = k >> 4;
+    if (occurs(cx, coarse.nx) && occurs(cy, coarse.ny) &&
+        occurs(cz, coarse.nz)) {
+      cell_terms(A, c, tx, ty, tz, cdiag_of, representative(cx, coarse.nx),
+                 representative(cy, coarse.ny), representative(cz, coarse.nz),
+                 [&](const Term& t) { table[k].push_back(t); });
     }
   }
-  // Interior range where the collapse map is exact (no clipping anywhere).
-  const auto interior = [&](int idx, int nc_d) {
-    return idx >= 1 && idx <= nc_d - 2;
-  };
 
+  // Runs of equal x class along a coarse x-line: low end, interior, high.
+  struct Run {
+    int x0, x1, cls;
+  };
+  std::vector<Run> runs;
+  for (int ci = 0; ci < coarse.nx; ++ci) {
+    const int cls = clip_class(ci, coarse.nx);
+    if (runs.empty() || runs.back().cls != cls) {
+      runs.push_back({ci, ci, cls});
+    }
+    runs.back().x1 = ci + 1;
+  }
+
+  // Each term is a strided axpy along the coarse x-line: every coarse entry
+  // receives its terms in the per-cell order, so the result is bitwise the
+  // per-cell product's at any thread count.
+  const std::int64_t sstride = (c.mask[0] ? 2 : 1) * block2;
+  const double* av = A.data();
+  double* acv = Ac.data();
 #pragma omp parallel for collapse(2) schedule(static)
   for (int ck = 0; ck < coarse.nz; ++ck) {
     for (int cj = 0; cj < coarse.ny; ++cj) {
-      const auto& sz = tz.rsup[static_cast<std::size_t>(ck)];
-      const auto& sy = ty.rsup[static_cast<std::size_t>(cj)];
-      for (int ci = 0; ci < coarse.nx; ++ci) {
-        const std::int64_t ccell = coarse.idx(ci, cj, ck);
-        if (collapse_ok && interior(ci, coarse.nx) &&
-            interior(cj, coarse.ny) && interior(ck, coarse.nz)) {
-          const int fi = c.mask[0] ? 2 * ci : ci;
-          const int fj = c.mask[1] ? 2 * cj : cj;
-          const int fk = c.mask[2] ? 2 * ck : ck;
-          const std::int64_t fbase = fine.idx(fi, fj, fk) * block2;
-          double acc[27 * 64];
-          const int nacc = 27 * static_cast<int>(block2);
-          for (int q = 0; q < nacc; ++q) {
-            acc[q] = 0.0;
-          }
-          const double* SMG_RESTRICT av = A.data();
-          const Target* SMG_RESTRICT tg = targets.data();
-          std::size_t tpos = 0;
-          for (const Read& rd : reads) {
-            const double* SMG_RESTRICT ablk = av + fbase + rd.aoff;
-            for (int q = 0; q < rd.ntarget; ++q, ++tpos) {
-              const int cd = tg[tpos].cd;
-              const double w = tg[tpos].w;
-              for (std::int64_t bb = 0; bb < block2; ++bb) {
-                acc[cd * block2 + bb] += w * ablk[bb];
-              }
-            }
-          }
-          for (int cd = 0; cd < 27; ++cd) {
-            double* cblk = Ac.data() + Ac.block_index(ccell, cd);
-            for (std::int64_t bb = 0; bb < block2; ++bb) {
-              cblk[bb] = acc[cd * block2 + bb];
-            }
-          }
-          continue;
-        }
-        const auto& sx = tx.rsup[static_cast<std::size_t>(ci)];
-        // A_c(I, J-I) += rscale * R(I,i) * A(i, i+s) * P(i+s, J)
-        for (int a = 0; a < sz.count; ++a) {
-          const int fk = sz.fi[a];
-          for (int bq = 0; bq < sy.count; ++bq) {
-            const int fj = sy.fi[bq];
-            const double wzy = sz.w[a] * sy.w[bq];
-            for (int e = 0; e < sx.count; ++e) {
-              const int fi = sx.fi[e];
-              const double wr = rscale * wzy * sx.w[e];
-              const std::int64_t fcell = fine.idx(fi, fj, fk);
-              for (int d = 0; d < nd; ++d) {
-                const int gi = fi + odx[d];
-                const int gj = fj + ody[d];
-                const int gk = fk + odz[d];
-                if (static_cast<unsigned>(gi) >=
-                        static_cast<unsigned>(fine.nx) ||
-                    static_cast<unsigned>(gj) >=
-                        static_cast<unsigned>(fine.ny) ||
-                    static_cast<unsigned>(gk) >=
-                        static_cast<unsigned>(fine.nz)) {
-                  continue;
-                }
-                const double* ablk = A.data() + A.block_index(fcell, d);
-                const auto& pi = tx.ppar[static_cast<std::size_t>(gi)];
-                const auto& pj = ty.ppar[static_cast<std::size_t>(gj)];
-                const auto& pk = tz.ppar[static_cast<std::size_t>(gk)];
-                for (int qa = 0; qa < pk.count; ++qa) {
-                  const int ddz = pk.ci[qa] - ck;
-                  if (ddz < -1 || ddz > 1) {
-                    continue;
-                  }
-                  for (int qb = 0; qb < pj.count; ++qb) {
-                    const int ddy = pj.ci[qb] - cj;
-                    if (ddy < -1 || ddy > 1) {
-                      continue;
-                    }
-                    const double wzy2 = pk.w[qa] * pj.w[qb];
-                    for (int qc = 0; qc < pi.count; ++qc) {
-                      const int ddx = pi.ci[qc] - ci;
-                      if (ddx < -1 || ddx > 1) {
-                        continue;
-                      }
-                      const double w = wr * wzy2 * pi.w[qc];
-                      const int cd = cdiag_of[ddz + 1][ddy + 1][ddx + 1];
-                      double* cblk = Ac.data() + Ac.block_index(ccell, cd);
-                      for (std::int64_t q = 0; q < block2; ++q) {
-                        cblk[q] += w * ablk[q];
-                      }
-                    }
-                  }
-                }
-              }
-            }
+      const int cyz =
+          4 * (clip_class(cj, coarse.ny) + 4 * clip_class(ck, coarse.nz));
+      const int fj = c.mask[1] ? 2 * cj : cj;
+      const int fk = c.mask[2] ? 2 * ck : ck;
+      for (const Run& run : runs) {
+        const double* a =
+            av + fine.idx(c.mask[0] ? 2 * run.x0 : run.x0, fj, fk) * block2;
+        double* ac = acv + coarse.idx(run.x0, cj, ck) * block2;
+        const std::int64_t n = run.x1 - run.x0;
+        for (const Term& t : table[run.cls + cyz]) {
+          if (block2 != 1) {
+            line_axpy_blocks(ac + t.dst, a + t.src, t.w, n, sstride, block2);
+          } else if (c.mask[0]) {
+            line_axpy<2>(ac + t.dst, a + t.src, t.w, n);
+          } else {
+            line_axpy<1>(ac + t.dst, a + t.src, t.w, n);
           }
         }
       }

@@ -1,5 +1,6 @@
 #include "core/hierarchy_cache.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -20,6 +21,36 @@ struct Fnv1a {
       h ^= b[i];
       h *= 0x100000001b3ull;
     }
+  }
+
+  /// Bulk data, 8-byte words in four independent lanes.  Each word step
+  /// xors the word into its lane, multiplies by an odd constant and folds
+  /// the high half down: a bijection of the lane for a fixed word, so
+  /// changing any one word (any one bit) always changes that lane.  Leftover
+  /// words and bytes go through the same step; the lanes fold into h last.
+  void words(const void* p, std::size_t n) noexcept {
+    const auto* b = static_cast<const unsigned char*>(p);
+    std::uint64_t lane[4] = {0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+                             0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull};
+    const auto step = [](std::uint64_t x, std::uint64_t w) noexcept {
+      x = (x ^ w) * 0x9e3779b97f4a7c15ull;
+      return x ^ (x >> 32);
+    };
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+      for (int l = 0; l < 4; ++l) {
+        std::uint64_t w;
+        std::memcpy(&w, b + i + 8 * l, 8);
+        lane[l] = step(lane[l], w);
+      }
+    }
+    for (int l = 0; i < n; i += 8, ++l) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, b + i, std::min<std::size_t>(8, n - i));
+      lane[l] = step(lane[l], w);
+    }
+    value(n);
+    bytes(lane, sizeof lane);
   }
 
   template <class T>
@@ -60,7 +91,7 @@ std::uint64_t hierarchy_fingerprint(const StructMat<double>& A,
                             static_cast<std::size_t>(st.ndiag()) *
                             static_cast<std::size_t>(A.block_size()) *
                             static_cast<std::size_t>(A.block_size());
-  f.bytes(A.data(), nvals * sizeof(double));
+  f.words(A.data(), nvals * sizeof(double));
   // Every MGConfig field that shapes the setup (all of them: a telemetry
   // or layout change must not alias a cached setup either).
   f.value(cfg.max_levels);

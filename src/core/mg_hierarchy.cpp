@@ -19,12 +19,12 @@ namespace {
 /// pre-ladder FP16-only check); FP8's representable range is so small
 /// (2^-9..240 — four decades) that the Theorem 4.1 scaling *is* the format's
 /// per-level scale, applied unconditionally.
-bool needs_scaling(const StructMat<double>& A, Prec storage) {
+bool needs_scaling(const AbsRange& range, Prec storage) {
   switch (storage) {
     case Prec::FP8:
       return true;
     case Prec::FP16:
-      return max_abs_value(A) > format_max(Prec::FP16);
+      return range.max_abs > format_max(Prec::FP16);
     case Prec::BF16:
     case Prec::FP32:
     case Prec::FP64:
@@ -34,11 +34,11 @@ bool needs_scaling(const StructMat<double>& A, Prec storage) {
 }
 
 /// Record the magnitude range of the values about to be truncated
-/// (telemetry's precision ledger; one extra setup-time pass).
-void record_stored_range(const StructMat<double>& A, Level& lev) {
-  lev.stored_max_abs = max_abs_value(A);
-  const double mn = min_abs_nonzero(A);
-  lev.stored_min_abs = std::isfinite(mn) ? mn : 0.0;
+/// (telemetry's precision ledger).
+void record_stored_range(const AbsRange& range, Level& lev) {
+  lev.stored_max_abs = range.max_abs;
+  lev.stored_min_abs =
+      std::isfinite(range.min_nonzero) ? range.min_nonzero : 0.0;
 }
 
 std::string analysis_reason(const StorageAnalysis& an) {
@@ -62,6 +62,14 @@ MGHierarchy::MGHierarchy(StructMat<double> A0, MGConfig cfg)
     : cfg_(std::move(cfg)) {
   Timer timer;
 
+  if (A0.block_size() > kMaxBlockSize) {
+    char msg[96];
+    std::snprintf(msg, sizeof msg,
+                  "block size %d exceeds the supported maximum of %d",
+                  A0.block_size(), kMaxBlockSize);
+    fail(msg, __FILE__, __LINE__);
+  }
+
   // Flip the sticky process-wide metrics switch before anything built on
   // this hierarchy (DecompEngine, adapters) registers its series.
   if (obs::effective_metrics(cfg_.metrics) == obs::MetricsLevel::On) {
@@ -83,7 +91,7 @@ MGHierarchy::MGHierarchy(StructMat<double> A0, MGConfig cfg)
   {
     const Prec finest = cfg_.storage_at(0);
     if (cfg_.scale == ScaleMode::ScaleThenSetup &&
-        needs_scaling(A0, finest)) {
+        needs_scaling(abs_range(A0), finest)) {
       ScaleResult sr =
           scale_matrix(A0, cfg_.scale_safety, format_max(finest));
       finest_wrapped_ = sr.applied;
@@ -149,7 +157,8 @@ MGHierarchy::MGHierarchy(StructMat<double> A0, MGConfig cfg)
   setup_seconds_ = timer.seconds();
 }
 
-Prec MGHierarchy::plan_rung(int l, const StructMat<double>& A) {
+Prec MGHierarchy::plan_rung(int l, const StructMat<double>& A,
+                            const AbsRange& range) {
   const Prec base = cfg_.storage_at(l);
   if (!is_narrow_storage(base)) {
     return base;  // compute-precision levels have no bandwidth to win
@@ -167,7 +176,8 @@ Prec MGHierarchy::plan_rung(int l, const StructMat<double>& A) {
       continue;  // fine levels carry most of the error: keep them at base
     }
     StorageAnalysis an;
-    if (cfg_.scale == ScaleMode::SetupThenScale && needs_scaling(A, cand) &&
+    if (cfg_.scale == ScaleMode::SetupThenScale &&
+        needs_scaling(range, cand) &&
         diagonal_positive(A)) {
       // Judge the candidate in the space it would actually be stored in:
       // scaled to the candidate's own format max.
@@ -208,11 +218,12 @@ void MGHierarchy::shift_to_compute(int l) {
 void MGHierarchy::setup_level_storage(int l) {
   Level& lev = levels_[static_cast<std::size_t>(l)];
   lev.storage = cfg_.storage_at(l);
+  const AbsRange range = abs_range(lev.A_full);
 
   const bool auto_plan =
       cfg_.ladder_auto && cfg_.precision_policy != PrecisionPolicy::Fixed;
   if (auto_plan) {
-    lev.storage = plan_rung(l, lev.A_full);
+    lev.storage = plan_rung(l, lev.A_full, range);
   }
 
   // Smoothers are set up from the high-precision matrix, then their data
@@ -226,7 +237,7 @@ void MGHierarchy::setup_level_storage(int l) {
   const bool planning = cfg_.precision_policy != PrecisionPolicy::Fixed;
 
   if (cfg_.scale == ScaleMode::SetupThenScale &&
-      needs_scaling(lev.A_full, lev.storage)) {
+      needs_scaling(range, lev.storage)) {
     if (!diagonal_positive(lev.A_full)) {
       // A zero/negative/non-finite diagonal entry voids Theorem 4.1: no Q
       // exists.  Store this level unscaled in compute precision instead of
@@ -239,7 +250,7 @@ void MGHierarchy::setup_level_storage(int l) {
                                 0.0,
                                 "diagonal has zero/negative/non-finite "
                                 "entries; Theorem 4.1 inapplicable"});
-      store_direct(lev);
+      store_direct(lev, range);
       return;
     }
 
@@ -255,7 +266,7 @@ void MGHierarchy::setup_level_storage(int l) {
       autopilot_log_.push_back(
           {l, AutopilotTrigger::SetupPlan, AutopilotAction::Fallback, from,
            lev.storage, 0.0, "scaling produced no admissible G"});
-      store_direct(lev);
+      store_direct(lev, range);
       return;
     }
 
@@ -282,7 +293,7 @@ void MGHierarchy::setup_level_storage(int l) {
         autopilot_log_.push_back({l, AutopilotTrigger::SetupPlan,
                                   AutopilotAction::Shift, from, lev.storage,
                                   0.0, analysis_reason(an)});
-        store_direct(lev);
+        store_direct(lev, range);
         return;
       }
     }
@@ -291,7 +302,7 @@ void MGHierarchy::setup_level_storage(int l) {
     lev.q2 = std::move(sr.q2);
     lev.gmax = sr.gmax;
     lev.g = sr.G;
-    record_stored_range(scaled, lev);
+    record_stored_range(abs_range(scaled), lev);
     lev.A_stored = AnyMat::from(scaled, lev.storage, cfg_.layout, &lev.trunc);
     if (cfg_.truncate_smoother) {
       truncate_invdiag_scaled(lev);
@@ -319,11 +330,11 @@ void MGHierarchy::setup_level_storage(int l) {
   // Direct truncation: ScaleMode::None intentionally lets out-of-range
   // values become inf under PrecisionPolicy::Fixed (the Fig. 6 "none"
   // failure mode is part of the reproduction, not a bug).
-  store_direct(lev);
+  store_direct(lev, range);
 }
 
-void MGHierarchy::store_direct(Level& lev) {
-  record_stored_range(lev.A_full, lev);
+void MGHierarchy::store_direct(Level& lev, const AbsRange& range) {
+  record_stored_range(range, lev);
   lev.A_stored = AnyMat::from(lev.A_full, lev.storage, cfg_.layout, &lev.trunc);
   if (cfg_.truncate_smoother) {
     truncate_smoother_data(lev.invdiag, lev.storage);
@@ -403,7 +414,7 @@ bool MGHierarchy::rescale_level(int l, double new_safety,
   }
   lev.g = g_new;
 
-  record_stored_range(lev.A_setup, lev);
+  record_stored_range(abs_range(lev.A_setup), lev);
   lev.A_stored.retruncate_from(lev.A_setup, lev.storage, cfg_.layout,
                                &lev.trunc);
   refresh_invdiag(lev);
@@ -430,7 +441,7 @@ bool MGHierarchy::promote_level(int l, Prec to, AutopilotTrigger trig) {
   const Prec from = lev.storage;
   const std::string before = trunc_reason(lev.trunc);
   lev.storage = to;
-  record_stored_range(src, lev);
+  record_stored_range(abs_range(src), lev);
   lev.A_stored.retruncate_from(src, to, cfg_.layout, &lev.trunc);
   refresh_invdiag(lev);
   autopilot_log_.push_back({l, trig, AutopilotAction::Promote, from, to, 0.0,

@@ -117,13 +117,14 @@ class MGHierarchy {
   /// Theorem 4.1 headroom thresholds.  Returns the base rung when nothing
   /// cheaper is admissible; compute precision is never proposed here — that
   /// remains the §4.3 shift path's job.
-  Prec plan_rung(int l, const StructMat<double>& A);
+  Prec plan_rung(int l, const StructMat<double>& A, const AbsRange& range);
   /// §4.3 monotone shift: level `l` and every coarser level fall back to
   /// compute precision.  Updates shift_levid and, when a ladder is active,
   /// rewrites it so storage_at() agrees.
   void shift_to_compute(int l);
-  /// Truncate lev.A_full directly into lev.storage (no scaling).
-  void store_direct(Level& lev);
+  /// Truncate lev.A_full, whose magnitude range is `range`, directly into
+  /// lev.storage (no scaling).
+  void store_direct(Level& lev, const AbsRange& range);
   /// Recompute smoother data from A_full and re-truncate at lev.storage.
   void refresh_invdiag(Level& lev);
   /// The scaled-space rounding of the diagonal-block inverses.

@@ -1,5 +1,6 @@
 #include "core/scaling.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -58,22 +59,36 @@ void for_each_entry_runs(StructMat<double>& A, F&& f) {
 
 }  // namespace
 
-double max_abs_value(const StructMat<double>& A) {
-  double m = 0.0;
-  for (double v : A.values()) {
-    m = std::max(m, std::abs(v));
+AbsRange abs_range(const StructMat<double>& A) {
+  const double* v = A.data();
+  const auto n = static_cast<std::int64_t>(A.values().size());
+  AbsRange r;
+#pragma omp parallel
+  {
+    AbsRange part;
+#pragma omp for schedule(static) nowait
+    for (std::int64_t i = 0; i < n; ++i) {
+      const double a = std::abs(v[i]);
+      part.max_abs = std::max(part.max_abs, a);
+      if (v[i] != 0.0) {
+        part.min_nonzero = std::min(part.min_nonzero, a);
+      }
+    }
+#pragma omp critical(smg_abs_range)
+    {
+      r.max_abs = std::max(r.max_abs, part.max_abs);
+      r.min_nonzero = std::min(r.min_nonzero, part.min_nonzero);
+    }
   }
-  return m;
+  return r;
+}
+
+double max_abs_value(const StructMat<double>& A) {
+  return abs_range(A).max_abs;
 }
 
 double min_abs_nonzero(const StructMat<double>& A) {
-  double m = std::numeric_limits<double>::infinity();
-  for (double v : A.values()) {
-    if (v != 0.0) {
-      m = std::min(m, std::abs(v));
-    }
-  }
-  return m;
+  return abs_range(A).min_nonzero;
 }
 
 bool diagonal_positive(const StructMat<double>& A) {

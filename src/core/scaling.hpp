@@ -12,6 +12,8 @@
 // center block, and the same formula applies entrywise.
 #pragma once
 
+#include <limits>
+
 #include "sgdia/struct_matrix.hpp"
 #include "util/aligned.hpp"
 
@@ -44,11 +46,21 @@ double compute_gmax(const StructMat<double>& A, double S);
 /// and the result reports applied == false, diag_ok == false.
 ScaleResult scale_matrix(StructMat<double>& A, double safety, double S);
 
+/// Magnitude range of the stored entries; NaN entries are skipped.
+struct AbsRange {
+  double max_abs = 0.0;
+  /// Smallest nonzero |a| (for underflow diagnostics); +inf if all-zero.
+  double min_nonzero = std::numeric_limits<double>::infinity();
+};
+
+/// One parallel pass computing both ends of the range.  Max and min are
+/// exact reductions, so the result does not depend on the thread count.
+AbsRange abs_range(const StructMat<double>& A);
+
 /// Largest absolute value over stored entries.
 double max_abs_value(const StructMat<double>& A);
 
-/// Smallest nonzero absolute value over stored entries (for underflow
-/// diagnostics); +inf if the matrix is all-zero.
+/// Smallest nonzero absolute value over stored entries; +inf if all-zero.
 double min_abs_nonzero(const StructMat<double>& A);
 
 }  // namespace smg

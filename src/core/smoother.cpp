@@ -15,8 +15,8 @@ namespace {
 
 /// In-place Gauss-Jordan inverse of a small row-major matrix.
 void invert_block(double* a, int n) {
-  double aug[8 * 16];
-  SMG_CHECK(n <= 8, "block size > 8 unsupported");
+  double aug[kMaxBlockSize * 2 * kMaxBlockSize];
+  SMG_CHECK(n <= kMaxBlockSize, "block size > 8 unsupported");
   // Build [A | I].
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
@@ -74,29 +74,33 @@ std::size_t truncate_smoother_data(avec<double>& data, Prec storage) {
   if (storage == Prec::FP8) {
     storage = Prec::FP16;
   }
+  const auto n = static_cast<std::int64_t>(data.size());
+  double* v = data.data();
   if (storage != Prec::FP16 && storage != Prec::BF16) {
     if (storage == Prec::FP32) {
-      for (auto& v : data) {
-        v = static_cast<double>(static_cast<float>(v));
+#pragma omp parallel for schedule(static)
+      for (std::int64_t i = 0; i < n; ++i) {
+        v[i] = static_cast<double>(static_cast<float>(v[i]));
       }
     }
     return 0;
   }
   std::size_t guarded = 0;
-  for (auto& v : data) {
+#pragma omp parallel for schedule(static) reduction(+ : guarded)
+  for (std::int64_t i = 0; i < n; ++i) {
     float r;
     bool safe;
     if (storage == Prec::FP16) {
-      const half h(static_cast<float>(v));
-      safe = h.is_finite() && !(v != 0.0 && h.is_zero());
+      const half h(static_cast<float>(v[i]));
+      safe = h.is_finite() && !(v[i] != 0.0 && h.is_zero());
       r = static_cast<float>(h);
     } else {
-      const bfloat16 b(static_cast<float>(v));
-      safe = b.is_finite() && !(v != 0.0 && b.is_zero());
+      const bfloat16 b(static_cast<float>(v[i]));
+      safe = b.is_finite() && !(v[i] != 0.0 && b.is_zero());
       r = static_cast<float>(b);
     }
     if (safe) {
-      v = static_cast<double>(r);
+      v[i] = static_cast<double>(r);
     } else {
       ++guarded;
     }
@@ -108,10 +112,12 @@ avec<double> compute_invdiag(const StructMat<double>& A) {
   const int center = A.stencil().center();
   SMG_CHECK(center >= 0, "smoother setup needs a diagonal entry");
   const int bs = A.block_size();
+  SMG_CHECK(bs <= kMaxBlockSize, "block size > 8 unsupported");
   const std::int64_t block2 = static_cast<std::int64_t>(bs) * bs;
   avec<double> inv(static_cast<std::size_t>(A.ncells() * block2));
-  double blk[64];
+#pragma omp parallel for schedule(static)
   for (std::int64_t cell = 0; cell < A.ncells(); ++cell) {
+    double blk[kMaxBlockSize * kMaxBlockSize];
     const double* src = A.data() + A.block_index(cell, center);
     for (std::int64_t q = 0; q < block2; ++q) {
       blk[q] = src[q];

@@ -13,9 +13,12 @@
 
 namespace smg {
 
+/// Largest block size the smoother setup inverts (fixed-size block buffers).
+inline constexpr int kMaxBlockSize = 8;
+
 /// Row-major bs x bs inverse of the center block of every cell.
 /// Fails hard on a singular diagonal block (the operator would not admit a
-/// point smoother at all).
+/// point smoother at all) and on block_size > kMaxBlockSize.
 avec<double> compute_invdiag(const StructMat<double>& A);
 
 /// Alg. 1 line 13's second half: smoother data is "calculated in iterative

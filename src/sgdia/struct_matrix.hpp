@@ -223,11 +223,11 @@ void convert_into(const StructMat<Src>& a, StructMat<Dst>& out,
                 out.ndiag() == a.ndiag(),
             "convert_into requires an identically shaped destination");
   const Layout layout = out.layout();
-  TruncateReport rep;
   const int bs = a.block_size();
   const std::int64_t block2 = static_cast<std::int64_t>(bs) * bs;
 
-  const auto run = [&rep](const Src* src, Dst* dst, std::size_t n) {
+  const auto run = [](const Src* src, Dst* dst, std::size_t n,
+                      TruncateReport& rep) {
     if constexpr (is_storage_only_v<Dst>) {
       rep += truncate<Dst, Src>({src, n}, {dst, n});
     } else {
@@ -237,30 +237,31 @@ void convert_into(const StructMat<Src>& a, StructMat<Dst>& out,
     }
   };
 
-  if (a.layout() != Layout::AOS && layout != Layout::AOS) {
-    // Both SOA-family layouts are contiguous per (line, diagonal) run of
-    // nx * bs^2 values: convert run-wise (per-element block_index would
-    // dominate the setup phase otherwise).
-    const Box& box = a.box();
-    const std::int64_t nlines =
-        static_cast<std::int64_t>(box.ny) * box.nz;
-    const std::size_t runlen =
-        static_cast<std::size_t>(box.nx) * static_cast<std::size_t>(block2);
-    for (std::int64_t line = 0; line < nlines; ++line) {
-      const std::int64_t cell0 = line * box.nx;
+  // Both SOA-family layouts are contiguous per (line, diagonal) run of
+  // nx * bs^2 values: convert run-wise (per-element block_index would
+  // dominate the setup phase otherwise).  AOS involvement falls back to one
+  // block per (cell, diagonal).  Runs are disjoint and the report is an
+  // integer sum, so any thread count gives the same bytes and counts.
+  const bool runs = a.layout() != Layout::AOS && layout != Layout::AOS;
+  const Box& box = a.box();
+  const std::int64_t nunits =
+      runs ? static_cast<std::int64_t>(box.ny) * box.nz : a.ncells();
+  const std::int64_t cells_per_unit = runs ? box.nx : 1;
+  const auto unit_len = static_cast<std::size_t>(cells_per_unit * block2);
+  TruncateReport rep;
+#pragma omp parallel
+  {
+    TruncateReport part;
+#pragma omp for schedule(static) nowait
+    for (std::int64_t u = 0; u < nunits; ++u) {
+      const std::int64_t cell0 = u * cells_per_unit;
       for (int d = 0; d < a.ndiag(); ++d) {
         run(a.data() + a.block_index(cell0, d),
-            out.data() + out.block_index(cell0, d), runlen);
+            out.data() + out.block_index(cell0, d), unit_len, part);
       }
     }
-  } else {
-    for (std::int64_t cell = 0; cell < a.ncells(); ++cell) {
-      for (int d = 0; d < a.ndiag(); ++d) {
-        run(a.data() + a.block_index(cell, d),
-            out.data() + out.block_index(cell, d),
-            static_cast<std::size_t>(block2));
-      }
-    }
+#pragma omp critical(smg_convert_into)
+    rep += part;
   }
   if (report != nullptr) {
     *report = rep;

@@ -1,10 +1,16 @@
-// Galerkin coarsening validated against an explicit dense R A P product.
+// Galerkin coarsening validated against an explicit dense R A P product
+// and, bit for bit, against the per-cell reference rule.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/coarsen.hpp"
+#include "galerkin_oracle.hpp"
+#include "problems/problem.hpp"
 #include "util/rng.hpp"
 
 namespace smg {
@@ -235,6 +241,122 @@ TEST(Coarsen, GridShrinksByRoughlyEightfold) {
   EXPECT_EQ(Ac.box(), (Box{9, 9, 9}));
   EXPECT_LT(static_cast<double>(Ac.ncells()),
             static_cast<double>(A.ncells()) / 6.0);
+}
+
+/// Coarsening of `fine` along exactly the dims in `mask`, with the extents
+/// Coarsening::make gives them.
+Coarsening masked(const Box& fine, std::array<bool, 3> mask) {
+  Coarsening c;
+  c.fine = fine;
+  c.mask = mask;
+  c.coarse = Box{mask[0] ? (fine.nx + 1) / 2 : fine.nx,
+                 mask[1] ? (fine.ny + 1) / 2 : fine.ny,
+                 mask[2] ? (fine.nz + 1) / 2 : fine.nz};
+  return c;
+}
+
+/// galerkin_coarsen(A, c) and the per-cell oracle agree on every stored
+/// byte (same layout, same values, signed zeros included).
+::testing::AssertionResult matches_oracle(const StructMat<double>& A,
+                                          const Coarsening& c) {
+  const StructMat<double> got = galerkin_coarsen(A, c);
+  const StructMat<double> want = oracle::galerkin_coarsen_per_cell(A, c);
+  if (got.layout() != want.layout() || !(got.box() == want.box()) ||
+      got.values().size() != want.values().size()) {
+    return ::testing::AssertionFailure() << "shape or layout differs";
+  }
+  const auto g = got.values();
+  const auto w = want.values();
+  for (std::size_t q = 0; q < g.size(); ++q) {
+    if (std::memcmp(&g[q], &w[q], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "value " << q << " of " << g.size() << ": " << g[q]
+             << " != oracle " << w[q];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr Layout kLayouts[] = {Layout::AOS, Layout::SOA, Layout::SOAL};
+
+/// Runs `body` at 1 and at 4 OpenMP threads, restoring the thread count.
+template <class F>
+void at_1_and_4_threads(F&& body) {
+  const int saved = omp_get_max_threads();
+  for (const int nt : {1, 4}) {
+    omp_set_num_threads(nt);
+    body(nt);
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(CoarsenOracle, EveryProblemLayoutAndChainLevel) {
+  // Each generator's whole coarsening chain, isotropic (SOA) and
+  // coupling-aware (every layout).  min_dim 2 walks fine extents
+  // 11 -> 6 -> 3 -> 2 -> 1 (odd fine extents, coarse extents 3, 2 and 1);
+  // the coupling-aware chain leaves weak dims of the anisotropic problems
+  // uncoarsened.
+  at_1_and_4_threads([](int nt) {
+    for (const std::string& name : problem_names()) {
+      const Problem p = make_problem(name, Box{11, 9, 7});
+      for (const Layout layout : kLayouts) {
+        for (const bool aware : {false, true}) {
+          if (!aware && layout != Layout::SOA) {
+            continue;
+          }
+          StructMat<double> A = convert<double>(p.A, layout);
+          for (int lev = 0; A.ncells() > 1; ++lev) {
+            const Coarsening c =
+                aware ? Coarsening::make(A.box(), 2, coupling_strengths(A),
+                                         0.1)
+                      : Coarsening::make(A.box(), 2);
+            if (!c.any()) {
+              break;
+            }
+            EXPECT_TRUE(matches_oracle(A, c))
+                << name << " layout " << to_string(layout)
+                << (aware ? " coupling-aware" : " isotropic") << " level "
+                << lev << " threads " << nt;
+            A = galerkin_coarsen(A, c);
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(CoarsenOracle, EveryMaskBlockSizeAndSmallExtent) {
+  // Random SOA operators (no symmetry, no sign pattern) on boxes whose
+  // coarse extents are 1, 2 and 3, under all seven coarsening masks.  The
+  // stencil rotates with the (box, block size) pair.  Other layouts only
+  // add the SOA round trip, which the chain test above covers.
+  const Box boxes[] = {Box{1, 2, 5}, Box{3, 4, 6}, Box{6, 5, 2},
+                       Box{7, 3, 4}, Box{5, 6, 7}, Box{2, 1, 3}};
+  const Pattern patterns[] = {Pattern::P3d7, Pattern::P3d19, Pattern::P3d27};
+  at_1_and_4_threads([&](int nt) {
+    std::uint64_t seed = 1;
+    for (const Box& box : boxes) {
+      for (const int bs : {1, 3, 4}) {
+        const Pattern pat = patterns[(seed + static_cast<unsigned>(bs)) % 3];
+        const StructMat<double> base = random_matrix(box, pat, bs, ++seed);
+        for (int m = 1; m < 8; ++m) {
+          const Coarsening c =
+              masked(box, {(m & 1) != 0, (m & 2) != 0, (m & 4) != 0});
+          EXPECT_TRUE(matches_oracle(base, c))
+              << "box " << box.nx << "x" << box.ny << "x" << box.nz << " bs "
+              << bs << " ndiag " << base.ndiag() << " mask " << m
+              << " threads " << nt;
+        }
+      }
+    }
+  });
+}
+
+TEST(CoarsenDeathTest, RejectsExtentsThatDoNotFollowTheMask) {
+  const auto A = random_matrix(Box{6, 6, 6}, Pattern::P3d7, 1, 3);
+  Coarsening c = Coarsening::make(A.box(), 2);
+  c.coarse.nx = 2;
+  EXPECT_DEATH(galerkin_coarsen(A, c), "coarsening mask");
 }
 
 }  // namespace

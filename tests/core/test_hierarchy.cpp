@@ -1,6 +1,10 @@
 // MG hierarchy setup tests: level structure, precision assignment,
 // shift_levid, scaling decisions, complexities.
 #include <gtest/gtest.h>
+#include <omp.h>
+
+#include <cstring>
+#include <string>
 
 #include "core/mg_hierarchy.hpp"
 #include "problems/problem.hpp"
@@ -188,6 +192,79 @@ TEST(Hierarchy, BlockProblemKeepsBlockSize) {
     EXPECT_EQ(h.level(l).A_full.block_size(), 3);
     EXPECT_EQ(h.level(l).A_stored.block_size(), 3);
   }
+}
+
+TEST(HierarchyDeathTest, RejectsBlockSizeAboveEight) {
+  // Rejected before the Galerkin chain or the smoother touches a block.
+  StructMat<double> A(Box{4, 4, 4}, Stencil::make(Pattern::P3d7), 9);
+  const int center = A.stencil().center();
+  for (std::int64_t cell = 0; cell < A.ncells(); ++cell) {
+    for (int r = 0; r < 9; ++r) {
+      A.at(cell, center, r, r) = 1.0;
+    }
+  }
+  EXPECT_DEATH(MGHierarchy(std::move(A), base_config()),
+               "block size 9 exceeds the supported maximum of 8");
+}
+
+template <class T>
+bool same_bytes(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <class V>
+bool same_bytes_vec(const V& a, const V& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+bool same_stored(const AnyMat& a, const AnyMat& b) {
+  if (a.precision() != b.precision() || a.layout() != b.layout() ||
+      a.value_bytes() != b.value_bytes()) {
+    return false;
+  }
+  const auto raw = [](const AnyMat& m) {
+    return m.visit([](const auto& s) {
+      return static_cast<const void*>(s.data());
+    });
+  };
+  return std::memcmp(raw(a), raw(b), a.value_bytes()) == 0;
+}
+
+TEST(Hierarchy, SetupIsThreadCountInvariant) {
+  // Every setup pass either keeps its summation order or is an exact
+  // reduction, so what setup stores must not depend on the thread count.
+  const int saved = omp_get_max_threads();
+  for (const std::string& name : problem_names()) {
+    const Problem p = make_problem(name, Box{21, 18, 16});
+    for (const bool fp16 : {true, false}) {
+      const MGConfig cfg = fp16 ? config_d16_setup_scale() : config_full64();
+      omp_set_num_threads(1);
+      const MGHierarchy h1(p.A, cfg);
+      omp_set_num_threads(4);
+      const MGHierarchy h4(p.A, cfg);
+      const std::string where = name + (fp16 ? " fp16" : " full64");
+      ASSERT_EQ(h1.nlevels(), h4.nlevels()) << where;
+      EXPECT_EQ(h1.stored_matrix_bytes(), h4.stored_matrix_bytes()) << where;
+      for (int l = 0; l < h1.nlevels(); ++l) {
+        const Level& a = h1.level(l);
+        const Level& b = h4.level(l);
+        EXPECT_TRUE(same_stored(a.A_stored, b.A_stored)) << where << " " << l;
+        EXPECT_TRUE(same_bytes_vec(a.invdiag, b.invdiag)) << where << " " << l;
+        EXPECT_TRUE(same_bytes_vec(a.q2, b.q2)) << where << " " << l;
+        EXPECT_TRUE(same_bytes(a.stored_max_abs, b.stored_max_abs))
+            << where << " " << l;
+        EXPECT_TRUE(same_bytes(a.stored_min_abs, b.stored_min_abs))
+            << where << " " << l;
+        EXPECT_EQ(a.trunc.overflowed, b.trunc.overflowed) << where << " " << l;
+        EXPECT_EQ(a.trunc.underflowed, b.trunc.underflowed)
+            << where << " " << l;
+        EXPECT_EQ(a.trunc.subnormal, b.trunc.subnormal) << where << " " << l;
+      }
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Setup/apply split tests: hierarchy fingerprinting and the LRU cache.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/hierarchy_cache.hpp"
 #include "problems/problem.hpp"
 
@@ -40,6 +42,30 @@ TEST(HierarchyFingerprint, SensitiveToEverySetupInput) {
   MGConfig c6 = cfg;
   c6.layout = Layout::AOS;
   EXPECT_NE(hierarchy_fingerprint(p.A, c6), base);
+}
+
+TEST(HierarchyFingerprint, SensitiveToLowestMantissaBitOfFirstLastAndTailValues) {
+  // 18 cells x 7 diagonals = 126 values: 31 full four-word groups plus a
+  // two-value tail after the lane loop.
+  StructMat<double> A(Box{2, 3, 3}, Stencil::make(Pattern::P3d7), 1);
+  const std::size_t n = A.values().size();
+  ASSERT_EQ(n % 4, 2u);
+  for (std::size_t q = 0; q < n; ++q) {
+    A.values()[q] = 1.0 + static_cast<double>(q);
+  }
+  const MGConfig cfg = config_d16_setup_scale();
+  const std::uint64_t base = hierarchy_fingerprint(A, cfg);
+  const auto flipped = [&](std::size_t q) {
+    StructMat<double> B = A;
+    std::uint64_t bits;
+    std::memcpy(&bits, &B.values()[q], sizeof bits);
+    bits ^= 1u;  // lowest mantissa bit
+    std::memcpy(&B.values()[q], &bits, sizeof bits);
+    return hierarchy_fingerprint(B, cfg);
+  };
+  EXPECT_NE(flipped(0), base);          // first value
+  EXPECT_NE(flipped(n - 1), base);      // last value
+  EXPECT_NE(flipped(n / 4 * 4), base);  // first value of the tail
 }
 
 TEST(HierarchyCache, HitsReuseTheSameSetup) {
