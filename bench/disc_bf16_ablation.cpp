@@ -53,7 +53,7 @@ SMG_BENCH(disc_bf16_ablation, "Discussion section 8 (BF16 paragraph)",
     MGConfig f16 = config_d16_setup_scale();
     f16.min_coarse_cells = 64;
     MGConfig b16 = f16;
-    b16.storage = Prec::BF16;
+    b16.storage_ladder = {Prec::BF16};
 
     const auto rf = bench::run_e2e(p, full, 400, 1e-9, true);
     const auto r16 = bench::run_e2e(p, f16, 400, 1e-9, true);

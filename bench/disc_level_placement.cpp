@@ -1,6 +1,7 @@
 // Guideline §3.3 vs Ginkgo's DP-SP-HP: where in the hierarchy FP16 pays.
 //
-// Sweeps shift_levid (FP16 on levels [0, shift) and FP32 below) and also
+// Sweeps the paper's shift_levid as the two-rung ladder {FP16 x shift, FP32}
+// (FP16 on levels [0, shift) and FP32 below) and also
 // evaluates the *inverted* placement (coarsest-first FP16, Ginkgo-style
 // DP-SP-HP) by storing FP32 on the finest level only.  Expected: nearly all
 // of the byte savings — and hence speedup — come from the finest levels,
@@ -41,7 +42,7 @@ SMG_BENCH(disc_level_placement,
       StructMat<double> A = p.A;
       MGHierarchy h(std::move(A), cfg);
       const auto r = bench::run_e2e(p, cfg, 400, 1e-9, true);
-      if (cfg.storage == Prec::FP32) {
+      if (cfg.storage_at(0) == Prec::FP32) {
         fp32_bytes = static_cast<double>(h.stored_matrix_bytes());
       }
       const double rel =
@@ -66,7 +67,8 @@ SMG_BENCH(disc_level_placement,
     report("all-FP32", fp32, "reference");
     for (int shift = 1; shift <= nlev; ++shift) {
       MGConfig cfg = config_d16_setup_scale();
-      cfg.shift_levid = shift;
+      cfg.storage_ladder.assign(static_cast<std::size_t>(shift), Prec::FP16);
+      cfg.storage_ladder.push_back(Prec::FP32);
       char label[64];
       std::snprintf(label, sizeof(label), "FP16 on levels [0,%d)", shift);
       report(label, cfg,

@@ -38,7 +38,6 @@ namespace {
 /// the k-parameterized panel models.
 double vcycle_many_bytes(const MGHierarchy& h, int k) {
   const MGConfig& cfg = h.config();
-  const bool fused = cfg.fused_transfers != FusedTransfers::Off;
   double bytes = 0.0;
   for (int l = 0; l + 1 < h.nlevels(); ++l) {
     const Level& L = h.level(l);
@@ -51,7 +50,7 @@ double vcycle_many_bytes(const MGHierarchy& h, int k) {
     bytes += cfg.nu1 * symgs_sweep_many_bytes(nnz, mf, mat, cfg.compute,
                                               L.scaled, k);
     bytes += downstroke_many_bytes(nnz, mf, mc, mat, cfg.compute, L.scaled,
-                                   fused, k);
+                                   /*fused=*/true, k);
     bytes += prolong_many_bytes(mf, mc, cfg.compute, k);
     bytes += cfg.nu2 * symgs_sweep_many_bytes(nnz, mf, mat, cfg.compute,
                                               L.scaled, k);
@@ -62,7 +61,6 @@ double vcycle_many_bytes(const MGHierarchy& h, int k) {
 /// Same sum priced by the single-RHS models (the k = 1 reference).
 double vcycle_single_bytes(const MGHierarchy& h) {
   const MGConfig& cfg = h.config();
-  const bool fused = cfg.fused_transfers != FusedTransfers::Off;
   double bytes = 0.0;
   for (int l = 0; l + 1 < h.nlevels(); ++l) {
     const Level& L = h.level(l);
@@ -75,7 +73,8 @@ double vcycle_single_bytes(const MGHierarchy& h) {
     bytes += cfg.nu1 *
              symgs_sweep_bytes(nnz, mf, mat, cfg.compute, L.scaled);
     bytes +=
-        downstroke_bytes(nnz, mf, mc, mat, cfg.compute, L.scaled, fused);
+        downstroke_bytes(nnz, mf, mc, mat, cfg.compute, L.scaled,
+                         /*fused=*/true);
     bytes += prolong_bytes(mf, mc, cfg.compute);
     bytes += cfg.nu2 *
              symgs_sweep_bytes(nnz, mf, mat, cfg.compute, L.scaled);

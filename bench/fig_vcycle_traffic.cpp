@@ -1,20 +1,22 @@
-// Fused vs unfused V-cycle downstroke: measured time and modeled traffic.
+// Fused vs two-step downstroke: measured kernel time and modeled traffic.
 //
 // The downstroke of every level computes r = f - A u and restricts it; the
-// unfused reference writes the full residual vector and immediately
-// re-reads it, two full-vector passes the fused residual_restrict kernel
-// (kernels/fused.hpp) eliminates.  Both paths are bitwise identical, so
-// this bench reports (a) per-config V-cycle times fused vs unfused across
-// 1-8 threads and FP64/FP32/FP16 storage, (b) the perfmodel's downstroke
-// bytes per level, and (c) a solver-level check that fused and unfused
-// convergence histories coincide (same iteration count, same final
-// residual) on every registered problem.
+// two-step form (residual() then restrict_to_coarse()) writes the full
+// residual vector and immediately re-reads it, two full-vector passes the
+// fused residual_restrict kernel (kernels/fused.hpp) eliminates.  Both
+// forms are bitwise identical, so this bench reports (a) the per-level
+// downstroke times of both forms, summed over the levels, across 1-8
+// threads and FP64/FP32/FP16 storage (checking the coarse right-hand sides
+// agree bitwise) and (b) the perfmodel's downstroke bytes per level.
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "harness/harness.hpp"
+#include "core/transfer.hpp"
 #include "kernels/blas1.hpp"
+#include "kernels/fused.hpp"
 #include "perfmodel/bytes.hpp"
 
 #if defined(_OPENMP)
@@ -33,34 +35,59 @@ void set_threads(int nt) {
 #endif
 }
 
-double measure_vcycle_ms(const Problem& p, MGConfig cfg) {
-  StructMat<double> A = p.A;
-  MGHierarchy h(std::move(A), cfg);
-  const std::size_t n = static_cast<std::size_t>(h.level(0).A_full.nrows());
-  avec<float> r(n, 1.0f), e(n, 0.0f);
-  const int cycles = 10;
-  double best = 1e30;
-  if (cfg.compute == Prec::FP64) {
-    MGPrecond<double> M(&h);
-    avec<double> rd(n, 1.0), ed(n, 0.0);
-    for (int rep = 0; rep < 3; ++rep) {  // rep 0 doubles as warm-up
-      Timer t;
-      for (int c = 0; c < cycles; ++c) {
-        M.apply({rd.data(), n}, {ed.data(), n});
+/// Per-level downstroke times of one hierarchy, best of three repeats of
+/// `reps` calls, summed over every level above the coarsest: the two-step
+/// residual() + restrict_to_coarse() pair against the fused
+/// residual_restrict() on the same stored matrices and vectors.  Returns
+/// false when the two coarse right-hand sides differ in any bit.
+template <class CT>
+bool measure_downstroke_ms(const MGHierarchy& h, double& two_step_ms,
+                           double& fused_ms) {
+  const int reps = 10;
+  two_step_ms = 0.0;
+  fused_ms = 0.0;
+  bool same = true;
+  for (int l = 0; l + 1 < h.nlevels(); ++l) {
+    const Level& L = h.level(l);
+    const std::size_t n = static_cast<std::size_t>(L.A_full.nrows());
+    const std::size_t nc =
+        static_cast<std::size_t>(h.level(l + 1).A_full.nrows());
+    avec<CT> f(n, CT{1}), u(n, CT{0.5}), r(n, CT{0});
+    avec<CT> fc_two(nc, CT{0}), fc_fused(nc, CT{0}), q2(L.q2.size());
+    copy_convert<CT, double>({L.q2.data(), L.q2.size()},
+                             {q2.data(), q2.size()});
+    const CT* q2p = q2.empty() ? nullptr : q2.data();
+    const std::span<const CT> fs{f.data(), n}, us{u.data(), n};
+    const auto two_step = [&] {
+      L.A_stored.visit([&](const auto& m) {
+        residual(m, fs, us, std::span<CT>{r.data(), n}, q2p);
+      });
+      restrict_to_coarse<CT>(L.to_coarse, L.A_full.block_size(),
+                             {r.data(), n}, {fc_two.data(), nc});
+    };
+    const auto fused = [&] {
+      L.A_stored.visit([&](const auto& m) {
+        residual_restrict(m, fs, us, q2p, L.to_coarse,
+                          std::span<CT>{fc_fused.data(), nc});
+      });
+    };
+    const auto best_ms = [reps](const auto& op) {
+      double best = 1e30;
+      for (int rep = 0; rep < 3; ++rep) {  // rep 0 doubles as warm-up
+        Timer t;
+        for (int c = 0; c < reps; ++c) {
+          op();
+        }
+        best = std::min(best, t.seconds());
       }
-      best = std::min(best, t.seconds());
-    }
-  } else {
-    MGPrecond<float> M(&h);
-    for (int rep = 0; rep < 3; ++rep) {
-      Timer t;
-      for (int c = 0; c < cycles; ++c) {
-        M.apply({r.data(), n}, {e.data(), n});
-      }
-      best = std::min(best, t.seconds());
-    }
+      return best * 1000.0 / reps;
+    };
+    two_step_ms += best_ms(two_step);
+    fused_ms += best_ms(fused);
+    same = same && std::memcmp(fc_two.data(), fc_fused.data(),
+                               nc * sizeof(CT)) == 0;
   }
-  return best * 1000.0 / cycles;
+  return same;
 }
 
 /// Modeled downstroke traffic of one V-cycle (all levels above the coarsest),
@@ -93,7 +120,7 @@ SMG_BENCH(fig_vcycle_traffic,
           "PAPER.md S5 (memory-bound kernels); ISSUE 2 tentpole",
           bench::kPaper) {
   bench::print_header(
-      "Fused residual->restrict vs two-step downstroke: V-cycle time and "
+      "Fused residual->restrict vs two-step downstroke: kernel time and "
       "modeled traffic",
       "PAPER.md S5 (memory-bound kernels); ISSUE 2 tentpole");
 
@@ -114,23 +141,20 @@ SMG_BENCH(fig_vcycle_traffic,
       {"fp16", config_d16_setup_scale()},
   };
 
-  // --- (a) measured V-cycle time, fused vs unfused ------------------------
-  Table t({"problem", "storage", "threads", "unfused ms", "fused ms",
+  // --- (a) measured downstroke time, fused vs two-step --------------------
+  Table t({"problem", "storage", "threads", "two-step ms", "fused ms",
            "speedup", "model unfused MB", "model fused MB"});
   for (const auto& name : {"laplace27", "rhd"}) {
     const Problem p = make_problem(name, ctx.box(name));
     for (const StorageCfg& sc : storages) {
       MGConfig cfg = sc.cfg;
       cfg.min_coarse_cells = 64;
+      StructMat<double> A = p.A;
+      const MGHierarchy h(std::move(A), cfg);
 
       // Modeled traffic is thread-independent; compute once per config.
-      double mb_unfused = 0.0, mb_fused = 0.0;
-      {
-        StructMat<double> A = p.A;
-        MGHierarchy h(std::move(A), cfg);
-        mb_unfused = modeled_downstroke_mb(h, false);
-        mb_fused = modeled_downstroke_mb(h, true);
-      }
+      const double mb_unfused = modeled_downstroke_mb(h, false);
+      const double mb_fused = modeled_downstroke_mb(h, true);
       const std::string ckey = std::string(name) + "/" + sc.name;
       // Closed-form byte model at the recorded box: gate it.
       ctx.value(ckey + "/model_unfused_mb", mb_unfused, "MB",
@@ -140,18 +164,21 @@ SMG_BENCH(fig_vcycle_traffic,
 
       for (int nt : threads) {
         set_threads(nt);
-        MGConfig off = cfg;
-        off.fused_transfers = FusedTransfers::Off;
-        MGConfig on = cfg;
-        on.fused_transfers = FusedTransfers::On;
-        const double ms_off = measure_vcycle_ms(p, off);
-        const double ms_on = measure_vcycle_ms(p, on);
-        const double sx = ms_off / ms_on;
+        double ms_two = 0.0, ms_fused = 0.0;
+        const bool same =
+            cfg.compute == Prec::FP64
+                ? measure_downstroke_ms<double>(h, ms_two, ms_fused)
+                : measure_downstroke_ms<float>(h, ms_two, ms_fused);
+        if (!same) {
+          ctx.fail(ckey + ": fused downstroke differs from the two-step "
+                          "residual + restrict");
+        }
+        const double sx = ms_two / ms_fused;
         const std::string key = ckey + "/t" + std::to_string(nt);
-        ctx.value(key + "/fused_ms", ms_on, "ms", bench::Better::Lower);
+        ctx.value(key + "/fused_ms", ms_fused, "ms", bench::Better::Lower);
         ctx.value(key + "/fused_speedup", sx, "x", bench::Better::Higher);
-        t.row({name, sc.name, std::to_string(nt), Table::fmt(ms_off, 3),
-               Table::fmt(ms_on, 3), Table::fmt(sx, 2) + "x",
+        t.row({name, sc.name, std::to_string(nt), Table::fmt(ms_two, 3),
+               Table::fmt(ms_fused, 3), Table::fmt(sx, 2) + "x",
                Table::fmt(mb_unfused, 2), Table::fmt(mb_fused, 2)});
       }
     }
@@ -194,40 +221,5 @@ SMG_BENCH(fig_vcycle_traffic,
               Table::fmt(f / 1024.0, 1), Table::fmt((u - f) / 1024.0, 1)});
     }
     lt.print();
-  }
-
-  // --- (c) convergence histories must be identical ------------------------
-  // The preconditioner is bitwise identical fused-vs-unfused at any thread
-  // count (tests/core/test_mg_precond.cpp), and with deterministic
-  // reductions the Krylov dot products are too (fixed-blocking pairwise
-  // combination, kernels/blas1.hpp dot_deterministic) — so the bitwise
-  // history comparison runs fully multi-threaded, no 1-thread fallback.
-  std::printf("\nfused-vs-unfused solver check (bitwise-identical histories, "
-              "deterministic reductions, %d thread(s)):\n", threads.back());
-  Table ct({"problem", "iters off", "iters on", "identical"});
-  bool all_same = true;
-  set_threads(threads.back());
-  for (const std::string& name : problem_names()) {
-    const Problem p = make_problem(name, ctx.box(name));
-    MGConfig off = config_d16_setup_scale();
-    off.min_coarse_cells = 64;
-    MGConfig on = off;
-    off.fused_transfers = FusedTransfers::Off;
-    on.fused_transfers = FusedTransfers::On;
-    const auto ro = bench::run_e2e(p, off, 300, 1e-8, /*deterministic=*/true);
-    const auto rn = bench::run_e2e(p, on, 300, 1e-8, /*deterministic=*/true);
-    const bool same = ro.solve.iters == rn.solve.iters &&
-                      ro.solve.final_relres == rn.solve.final_relres &&
-                      ro.solve.history == rn.solve.history;
-    all_same = all_same && same;
-    ctx.value(name + "/history_identical", same ? 1.0 : 0.0, "bool",
-              bench::Better::None, /*gate=*/true);
-    ct.row({name, std::to_string(ro.solve.iters),
-            std::to_string(rn.solve.iters), same ? "yes" : "NO"});
-  }
-  ct.print();
-  std::printf("\nall histories identical: %s\n", all_same ? "yes" : "NO");
-  if (!all_same) {
-    ctx.fail("fused-vs-unfused convergence histories diverged");
   }
 }

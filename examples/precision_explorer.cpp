@@ -40,17 +40,17 @@ int main(int argc, char** argv) {
       {"K64P32D16-setup-scale", config_d16_setup_scale()},
       {"K64P32Dbf16", [] {
          MGConfig c = config_d16_setup_scale();
-         c.storage = Prec::BF16;
+         c.storage_ladder = {Prec::BF16};
          return c;
        }()},
       {"K64P32D16 shift_levid=2", [] {
          MGConfig c = config_d16_setup_scale();
-         c.shift_levid = 2;
+         c.storage_ladder = {Prec::FP16, Prec::FP16, Prec::FP32};
          return c;
        }()},
       {"K64P32D16 W-cycle", [] {
          MGConfig c = config_d16_setup_scale();
-         c.cycle = CycleType::W;
+         c.cycle = CycleShape::W;
          return c;
        }()},
       {"K64P32D16 auto", [] {

@@ -205,7 +205,8 @@ std::vector<int> PrecisionGovernor::on_event(HealthEvent e) {
     // compute) rather than jumping straight to compute: each step concedes
     // one halving of the bandwidth win, and a level that keeps misbehaving
     // climbs again on the next event.
-    const Prec up = next_rung_up(h_->level(l).storage, h_->config().storage,
+    const Prec up = next_rung_up(h_->level(l).storage,
+                                 h_->config().storage_at(0),
                                  h_->config().compute);
     if (k == RepairKind::Rescale) {
       ok = h_->rescale_level(l, t.repair_safety, trig);

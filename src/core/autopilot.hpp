@@ -1,5 +1,5 @@
 // Precision autopilot (DESIGN.md §9): choose — and at runtime repair — the
-// per-level storage precision instead of trusting a hand-set shift_levid.
+// per-level storage precision instead of trusting a hand-set ladder.
 //
 // Two halves, selected by MGConfig::precision_policy:
 //
@@ -115,7 +115,8 @@ constexpr std::string_view to_string(AutopilotTrigger t) noexcept {
 enum class AutopilotAction {
   Rescale,   ///< re-truncate at a clamped safety, keeping narrow storage
   Promote,   ///< re-truncate one rung up the ladder (costs bandwidth win)
-  Shift,     ///< setup-time: move shift_levid down to this level (§4.3)
+  Shift,     ///< setup-time: this and every coarser level go to compute
+             ///< precision (§4.3 shift_levid)
   Fallback,  ///< store unscaled in compute precision (unscalable diagonal)
   Rung,      ///< setup-time ladder planner chose a cheaper admissible rung
 };
@@ -186,9 +187,9 @@ RepairKind decide_repair(const LevelHealth& h, HealthEvent e,
                          const AutopilotThresholds& t);
 
 /// The governor's promote target: one rung *up* the storage ladder instead
-/// of a jump straight to compute.  FP8 promotes to the configured 2-byte
-/// format (FP16 when the config stores none), and the 2-byte formats
-/// promote to `compute` — so a misbehaving FP8 level walks
+/// of a jump straight to compute.  FP8 promotes to `storage`, the ladder's
+/// finest rung, when that is a 2-byte format (FP16 otherwise), and the
+/// 2-byte formats promote to `compute` — so a misbehaving FP8 level walks
 /// FP8 -> FP16/BF16 -> FP32 across successive repairs, conceding bandwidth
 /// one halving at a time.
 constexpr Prec next_rung_up(Prec from, Prec storage, Prec compute) noexcept {

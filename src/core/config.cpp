@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <utility>
+#include <strings.h>
+
+#include "util/common.hpp"
 
 namespace smg {
 
@@ -33,8 +35,19 @@ bool effective_halo_fp16(const MGConfig& cfg) noexcept {
   if (env == nullptr || *env == '\0') {
     return cfg.halo_fp16;
   }
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-           std::strcmp(env, "OFF") == 0 || std::strcmp(env, "false") == 0);
+  for (const char* on : {"1", "on", "true", "yes"}) {
+    if (strcasecmp(env, on) == 0) {
+      return true;
+    }
+  }
+  for (const char* off : {"0", "off", "false", "no"}) {
+    if (strcasecmp(env, off) == 0) {
+      return false;
+    }
+  }
+  fail("SMG_HALO_FP16 must be one of 1/on/true/yes or 0/off/false/no "
+       "(case-insensitive)",
+       __FILE__, __LINE__);
 }
 
 std::vector<Prec> effective_storage_ladder(const MGConfig& cfg,
@@ -50,7 +63,7 @@ std::vector<Prec> effective_storage_ladder(const MGConfig& cfg,
     if (auto_rungs != nullptr) {
       *auto_rungs = true;
     }
-    return {};
+    return cfg.storage_ladder;  // the configured rungs cap the planner
   }
   // Accept "fp16,fp8", "fp16 fp8", or "fp16:fp8".
   std::vector<Prec> ladder;
@@ -147,108 +160,10 @@ int effective_ladder_min_level(const MGConfig& cfg) noexcept {
   return (end != env && v >= 0) ? static_cast<int>(v) : cfg.ladder_min_level;
 }
 
-std::string MGConfig::tag() const {
-  // Non-default cycle shapes suffix the tag ("-wcycle"/"-fcycle"); V stays
-  // unsuffixed so pre-PR-10 tags are unchanged.
-  const auto cycle_suffix = [this](std::string s) {
-    if (cycle == CycleShape::W) {
-      s += "-wcycle";
-    } else if (cycle == CycleShape::F) {
-      s += "-fcycle";
-    }
-    return s;
-  };
-  const auto code = [](Prec p) -> std::string {
-    switch (p) {
-      case Prec::FP64:
-        return "64";
-      case Prec::FP32:
-        return "32";
-      case Prec::FP16:
-        return "16";
-      case Prec::BF16:
-        return "b16";
-      case Prec::FP8:
-        return "8";
-    }
-    return "?";
-  };
-  std::string s = "P";
-  s += (compute == Prec::FP64) ? "64" : "32";
-  s += "D";
-  if (!storage_ladder.empty()) {
-    // Explicit ladder: list the rungs ("P32D[16.16.8]-setup-scale").
-    s += "[";
-    for (std::size_t i = 0; i < storage_ladder.size(); ++i) {
-      if (i > 0) {
-        s += ".";
-      }
-      s += code(storage_ladder[i]);
-    }
-    s += "]";
-    bool narrow = false;
-    for (const Prec r : storage_ladder) {
-      narrow = narrow || is_narrow_storage(r);
-    }
-    if (narrow) {
-      switch (scale) {
-        case ScaleMode::None:
-          s += "-none";
-          break;
-        case ScaleMode::SetupThenScale:
-          s += "-setup-scale";
-          break;
-        case ScaleMode::ScaleThenSetup:
-          s += "-scale-setup";
-          break;
-      }
-    }
-    if (ladder_auto) {
-      s += "-ladderauto";
-    }
-    if (precision_policy != PrecisionPolicy::Fixed) {
-      s += "-";
-      s += to_string(precision_policy);
-    }
-    return cycle_suffix(std::move(s));
-  }
-  // The D component must agree with storage_at(): shift_levid <= 0 stores
-  // *every* level in compute precision, so the configured `storage` never
-  // materializes and the tag must not advertise it (nor a scale mode, which
-  // only applies to narrow-stored levels).
-  const Prec eff = shift_levid <= 0 ? compute : storage;
-  s += code(eff);
-  if (is_narrow_storage(eff)) {
-    switch (scale) {
-      case ScaleMode::None:
-        s += "-none";
-        break;
-      case ScaleMode::SetupThenScale:
-        s += "-setup-scale";
-        break;
-      case ScaleMode::ScaleThenSetup:
-        s += "-scale-setup";
-        break;
-    }
-    // Partial shift: levels >= shift_levid fall back to compute precision.
-    if (shift_levid > 0 && shift_levid != INT_MAX) {
-      s += "-shift" + std::to_string(shift_levid);
-    }
-  }
-  if (ladder_auto) {
-    s += "-ladderauto";
-  }
-  if (precision_policy != PrecisionPolicy::Fixed) {
-    s += "-";
-    s += to_string(precision_policy);
-  }
-  return cycle_suffix(std::move(s));
-}
-
 MGConfig config_full64() {
   MGConfig cfg;
   cfg.compute = Prec::FP64;
-  cfg.storage = Prec::FP64;
+  cfg.storage_ladder = {Prec::FP64};
   cfg.scale = ScaleMode::None;
   return cfg;
 }
@@ -256,7 +171,7 @@ MGConfig config_full64() {
 MGConfig config_k64p32d32() {
   MGConfig cfg;
   cfg.compute = Prec::FP32;
-  cfg.storage = Prec::FP32;
+  cfg.storage_ladder = {Prec::FP32};
   cfg.scale = ScaleMode::None;
   return cfg;
 }
@@ -264,7 +179,7 @@ MGConfig config_k64p32d32() {
 MGConfig config_d16_none() {
   MGConfig cfg;
   cfg.compute = Prec::FP32;
-  cfg.storage = Prec::FP16;
+  cfg.storage_ladder = {Prec::FP16};
   cfg.scale = ScaleMode::None;
   return cfg;
 }
@@ -272,7 +187,7 @@ MGConfig config_d16_none() {
 MGConfig config_d16_scale_setup() {
   MGConfig cfg;
   cfg.compute = Prec::FP32;
-  cfg.storage = Prec::FP16;
+  cfg.storage_ladder = {Prec::FP16};
   cfg.scale = ScaleMode::ScaleThenSetup;
   return cfg;
 }
@@ -280,7 +195,7 @@ MGConfig config_d16_scale_setup() {
 MGConfig config_d16_setup_scale() {
   MGConfig cfg;
   cfg.compute = Prec::FP32;
-  cfg.storage = Prec::FP16;
+  cfg.storage_ladder = {Prec::FP16};
   cfg.scale = ScaleMode::SetupThenScale;
   return cfg;
 }

@@ -5,17 +5,18 @@
 //       not stored here (Alg. 2's red precision);
 //   P — `compute`: precision of every vector and arithmetic op inside the
 //       preconditioner (blue);
-//   D — `storage`: precision the level matrices are truncated to (green).
-// `shift_levid` implements §4.3: from that level to the coarsest, matrices
-// are stored in `compute` precision instead of `storage` to dodge underflow
-// accumulated along the triple-matrix-product chain.
+//   D — `storage_ladder`: the format each level matrix is truncated to
+//       (green); a one-rung ladder stores every level in that format.
+// The paper's §4.3 `shift_levid` is a two-rung ladder: levels below the
+// shift keep the narrow format, the shift level and every coarser one are
+// stored in `compute` precision to dodge underflow accumulated along the
+// triple-matrix-product chain ({fp16, fp16, fp32} is shift_levid = 2).
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <climits>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "fp/precision.hpp"
@@ -68,30 +69,6 @@ constexpr std::string_view to_string(SmootherParallel p) noexcept {
   return "?";
 }
 
-/// Whether the V-cycle downstroke uses the fused residual→restrict kernel
-/// (kernels/fused.hpp) instead of materializing the residual vector and
-/// restricting it in a second pass.  Both paths are bitwise identical; this
-/// is purely a memory-traffic switch (saves one full-vector write + read per
-/// level per cycle).
-enum class FusedTransfers {
-  Auto,  ///< fused (currently always on; kept distinct from On so a future
-         ///< heuristic can demote without an interface change)
-  On,    ///< always fused
-  Off,   ///< reference two-step path (residual into L.r, then restrict)
-};
-
-constexpr std::string_view to_string(FusedTransfers f) noexcept {
-  switch (f) {
-    case FusedTransfers::Auto:
-      return "auto";
-    case FusedTransfers::On:
-      return "on";
-    case FusedTransfers::Off:
-      return "off";
-  }
-  return "?";
-}
-
 /// Cycle shape of one preconditioner apply (docs/CYCLE_SHAPES.md):
 ///   V — one coarse-grid correction per level per apply;
 ///   W — every non-coarsest child level is revisited (2^l visits of level l);
@@ -105,9 +82,6 @@ enum class CycleShape {
   W,
   F,
 };
-
-/// Pre-PR-10 spelling; the V/W enumerators predate the F shape.
-using CycleType = CycleShape;
 
 constexpr std::string_view to_string(CycleShape s) noexcept {
   switch (s) {
@@ -135,9 +109,10 @@ std::int64_t cycle_visits(CycleShape shape, int level, int nlevels) noexcept;
 
 /// Who decides the per-level storage precision (DESIGN.md §9).
 enum class PrecisionPolicy {
-  Fixed,    ///< honor `storage`/`shift_levid` exactly (pre-autopilot behavior)
-  Auto,     ///< setup-time autopilot: choose `shift_levid` from Theorem 4.1
-            ///< headroom and predicted flush-to-zero/subnormal fractions
+  Fixed,    ///< honor `storage_ladder` exactly (pre-autopilot behavior)
+  Auto,     ///< setup-time autopilot: shift levels to compute precision
+            ///< from Theorem 4.1 headroom and predicted flush-to-zero/
+            ///< subnormal fractions
   Guarded,  ///< Auto, plus a runtime governor that rescales or promotes
             ///< levels on NaN/Inf, overflow, or Krylov stagnation and retries
 };
@@ -159,7 +134,7 @@ struct MGConfig {
   int max_levels = 10;
   std::int64_t min_coarse_cells = 64;  ///< stop coarsening below this
   int min_dim = 5;                     ///< do not halve dims shorter than this
-  CycleType cycle = CycleType::V;
+  CycleShape cycle = CycleShape::V;
   /// Coupling-aware (semi)coarsening: only halve dimensions whose face
   /// coupling is at least `coarsen_threshold` x the strongest coarsenable
   /// dimension's (StructMG-style high-dimensional coarsening; this is what
@@ -176,26 +151,14 @@ struct MGConfig {
   /// grid/wavefront.hpp and DESIGN.md "Wavefront-parallel SymGS").
   SmootherParallel smoother_parallel = SmootherParallel::Auto;
 
-  // --- transfers (DESIGN.md §7) ---
-  /// Fused residual→restrict downstroke; bitwise identical to Off.
-  FusedTransfers fused_transfers = FusedTransfers::Auto;
-
   // --- precision (P and D of the paper's K/P/D triple) ---
   Prec compute = Prec::FP32;
-  Prec storage = Prec::FP16;
-  /// DEPRECATED single-cut storage policy (§4.3): levels >= shift_levid are
-  /// stored in `compute` precision.  Kept as an alias for the general
-  /// `storage_ladder`; expand_ladder() shows the per-level rungs it denotes.
-  /// New code should set `storage_ladder` instead.
-  int shift_levid = INT_MAX;
-  /// Progressive-precision storage ladder (DESIGN.md §12): entry l is the
-  /// storage format of level l, and the last entry extends to every coarser
-  /// level.  Empty (the default) defers to the deprecated
-  /// `storage`/`shift_levid` pair — storage_at() is then bitwise identical
-  /// to pre-ladder builds.  The SMG_STORAGE_LADDER env var ("fp16,fp8",
-  /// "auto", ...) overrides this at hierarchy setup
+  /// Storage ladder (DESIGN.md §12): entry l is the storage format of
+  /// level l, and the last entry extends to every coarser level.  Must not
+  /// be empty (MGHierarchy rejects it).  The SMG_STORAGE_LADDER env var
+  /// ("fp16,fp8", "auto", ...) overrides this at hierarchy setup
   /// (effective_storage_ladder).
-  std::vector<Prec> storage_ladder;
+  std::vector<Prec> storage_ladder{Prec::FP16};
   /// Let the autopilot planner pick each level's rung (cheapest format that
   /// clears the Theorem 4.1 headroom and underflow thresholds) instead of
   /// honoring a hand-set ladder.  Requires precision_policy != Fixed to
@@ -208,10 +171,10 @@ struct MGConfig {
   int ladder_min_level = 2;
   ScaleMode scale = ScaleMode::SetupThenScale;
   double scale_safety = 0.25;  ///< G = safety * G_max (Theorem 4.1 headroom)
-  /// Fixed keeps `shift_levid` as configured; Auto derives it at setup from
-  /// the measured value distributions; Guarded additionally self-heals at
-  /// runtime (core/autopilot.hpp).  Fixed is bitwise identical to pre-
-  /// autopilot builds.
+  /// Fixed keeps `storage_ladder` as configured; Auto shifts levels to
+  /// compute precision at setup from the measured value distributions;
+  /// Guarded additionally self-heals at runtime (core/autopilot.hpp).
+  /// Fixed is bitwise identical to pre-autopilot builds.
   PrecisionPolicy precision_policy = PrecisionPolicy::Fixed;
   /// Alg. 1 line 13: smoother data is truncated to storage precision too
   /// (with an overflow/underflow guard; see truncate_smoother_data).
@@ -254,24 +217,15 @@ struct MGConfig {
   /// default; SMG_HALO_FP16 overrides (effective_halo_fp16).
   bool halo_fp16 = false;
 
-  /// Storage precision actually used on `level`: the ladder rung when a
-  /// ladder is set (last rung extends to coarser levels), else the
-  /// deprecated storage/shift_levid pair.
+  /// Storage precision actually used on `level`: the ladder rung, the last
+  /// rung extending to coarser levels.
   Prec storage_at(int level) const noexcept {
-    if (!storage_ladder.empty()) {
-      const std::size_t n = storage_ladder.size();
-      const std::size_t i =
-          level <= 0 ? 0
-                     : std::min(static_cast<std::size_t>(level), n - 1);
-      return storage_ladder[i];
-    }
-    return level < shift_levid ? storage : compute;
+    const std::size_t i = level <= 0 ? 0 : static_cast<std::size_t>(level);
+    return storage_ladder[std::min(i, storage_ladder.size() - 1)];
   }
 
-  /// The per-level rungs this config denotes, whichever way it was
-  /// expressed: expands the deprecated shift_levid alias into an explicit
-  /// ladder of `nlevels` entries (`{storage, ..., compute, ...}`), or
-  /// clamps/extends an explicit ladder to `nlevels`.
+  /// The per-level rungs this config denotes: the ladder clamped or
+  /// extended to `nlevels` entries.
   std::vector<Prec> expand_ladder(int nlevels) const {
     std::vector<Prec> out;
     out.reserve(static_cast<std::size_t>(nlevels > 0 ? nlevels : 0));
@@ -280,23 +234,21 @@ struct MGConfig {
     }
     return out;
   }
-
-  /// Human-readable "P32D16-setup-scale"-style tag for experiment tables.
-  std::string tag() const;
 };
 
 /// Box-decomposition knobs actually in effect: the SMG_DECOMP env var
 /// ("2x2x2", "2,2,1" or "2 2 1") overrides cfg.decomp when parseable, and
-/// SMG_HALO_FP16 ("1"/"on") overrides cfg.halo_fp16.
+/// SMG_HALO_FP16 (1/on/true/yes or 0/off/false/no, case-insensitive)
+/// overrides cfg.halo_fp16; any other value is a fatal error.
 std::array<int, 3> effective_decomp(const MGConfig& cfg) noexcept;
 bool effective_halo_fp16(const MGConfig& cfg) noexcept;
 
 /// Storage ladder actually in effect: SMG_STORAGE_LADDER overrides
 /// cfg.storage_ladder when parseable.  Accepts a comma/space-separated list
 /// of format names as printed by to_string(Prec) ("fp16,fp16,fp8"), or
-/// "auto" to clear the explicit ladder and set `auto_rungs` (the planner
-/// picks each rung; cfg.ladder_auto).  Unparseable values fall back to the
-/// config.
+/// "auto" to keep the configured ladder as a per-level cap and set
+/// `auto_rungs` (the planner picks each rung; cfg.ladder_auto).
+/// Unparseable values fall back to the config.
 std::vector<Prec> effective_storage_ladder(const MGConfig& cfg,
                                            bool* auto_rungs = nullptr);
 

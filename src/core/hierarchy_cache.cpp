@@ -105,10 +105,7 @@ std::uint64_t hierarchy_fingerprint(const StructMat<double>& A,
   f.value(cfg.nu2);
   f.value(cfg.jacobi_weight);
   f.enumval(cfg.smoother_parallel);
-  f.enumval(cfg.fused_transfers);
   f.enumval(cfg.compute);
-  f.enumval(cfg.storage);
-  f.value(cfg.shift_levid);
   f.value(cfg.storage_ladder.size());
   for (const Prec r : cfg.storage_ladder) {
     f.enumval(r);
@@ -122,6 +119,11 @@ std::uint64_t hierarchy_fingerprint(const StructMat<double>& A,
   f.enumval(cfg.telemetry);
   f.enumval(cfg.metrics);
   f.enumval(cfg.layout);
+  for (const int d : cfg.decomp) {
+    f.value(d);
+  }
+  f.value(cfg.decomp_min_box);
+  f.value(cfg.halo_fp16);
   return f.h;
 }
 

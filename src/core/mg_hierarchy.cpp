@@ -83,6 +83,10 @@ MGHierarchy::MGHierarchy(StructMat<double> A0, MGConfig cfg)
   }
   bool auto_rungs = false;
   cfg_.storage_ladder = effective_storage_ladder(cfg_, &auto_rungs);
+  if (cfg_.storage_ladder.empty()) {
+    fail("storage_ladder is empty: give at least one storage format",
+         __FILE__, __LINE__);
+  }
   cfg_.ladder_auto =
       auto_rungs && cfg_.precision_policy != PrecisionPolicy::Fixed;
   cfg_.ladder_min_level = effective_ladder_min_level(cfg_);
@@ -204,15 +208,11 @@ Prec MGHierarchy::plan_rung(int l, const StructMat<double>& A,
 }
 
 void MGHierarchy::shift_to_compute(int l) {
-  cfg_.shift_levid = std::min(cfg_.shift_levid, l);
-  if (!cfg_.storage_ladder.empty()) {
-    // storage_at() consults the ladder before shift_levid, so the shift must
-    // rewrite it: rungs finer than l keep their format, l and every coarser
-    // level become compute (§4.3 monotone — the trailing rung extends).
-    std::vector<Prec> ladder = cfg_.expand_ladder(l > 0 ? l : 0);
-    ladder.push_back(cfg_.compute);
-    cfg_.storage_ladder = std::move(ladder);
-  }
+  // Rungs finer than l keep their format; l and every coarser level become
+  // compute (§4.3 monotone — the trailing rung extends).
+  std::vector<Prec> ladder = cfg_.expand_ladder(l > 0 ? l : 0);
+  ladder.push_back(cfg_.compute);
+  cfg_.storage_ladder = std::move(ladder);
 }
 
 void MGHierarchy::setup_level_storage(int l) {

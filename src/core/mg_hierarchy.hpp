@@ -119,8 +119,7 @@ class MGHierarchy {
   /// remains the §4.3 shift path's job.
   Prec plan_rung(int l, const StructMat<double>& A, const AbsRange& range);
   /// §4.3 monotone shift: level `l` and every coarser level fall back to
-  /// compute precision.  Updates shift_levid and, when a ladder is active,
-  /// rewrites it so storage_at() agrees.
+  /// compute precision.  Rewrites the storage ladder so storage_at() agrees.
   void shift_to_compute(int l);
   /// Truncate lev.A_full, whose magnitude range is `range`, directly into
   /// lev.storage (no scaling).

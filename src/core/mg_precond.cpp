@@ -24,11 +24,8 @@ MGPrecond<CT>::MGPrecond(const MGHierarchy* h)
     const std::size_t n = static_cast<std::size_t>(hl.A_full.nrows());
     L.u.assign(n, CT{0});
     L.f.assign(n, CT{0});
-    // The residual vector only exists on the unfused reference path and as
-    // the Jacobi ping-pong buffer; the fused downstroke never touches it.
-    const MGConfig& cfg = h_->config();
-    if (cfg.fused_transfers == FusedTransfers::Off ||
-        cfg.smoother == SmootherType::Jacobi) {
+    // The Jacobi ping-pong buffer; the fused downstroke never needs it.
+    if (h_->config().smoother == SmootherType::Jacobi) {
       L.r.assign(n, CT{0});
     }
     refresh_level(l);
@@ -103,9 +100,6 @@ void VectorOps<CT>::smooth(int l, bool forward) {
   // (Jacobi must read the *old* iterate everywhere, so in-place fusion is
   // not an option), then the buffers swap roles.  Bitwise identical to the
   // former residual-then-update two-pass form.
-  if (L.r.size() != L.u.size()) {
-    L.r.assign(L.u.size(), CT{0});
-  }
   const CT w = static_cast<CT>(cfg.jacobi_weight);
   hl.A_stored.visit([&](const auto& m) {
     jacobi_sweep_fused(m, f, std::span<const CT>{L.u.data(), L.u.size()},
@@ -116,28 +110,17 @@ void VectorOps<CT>::smooth(int l, bool forward) {
 
 template <class CT>
 void VectorOps<CT>::downstroke(int l) {
-  // C.f = R (f - A u).  Fused by default — the residual is produced
-  // plane-by-plane inside residual_restrict and never written to memory;
-  // the Off path is the two-step reference (bitwise identical).
+  // C.f = R (f - A u), fused: the residual is produced plane-by-plane
+  // inside residual_restrict and never written to memory.
   const Level& hl = h_.level(l);
   LevelData<CT>& L = level(l);
   LevelData<CT>& C = level(l + 1);
   const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
-  if (h_.config().fused_transfers != FusedTransfers::Off) {
-    hl.A_stored.visit([&](const auto& m) {
-      residual_restrict(m, std::span<const CT>{L.f.data(), L.f.size()},
-                        std::span<const CT>{L.u.data(), L.u.size()}, q2,
-                        hl.to_coarse, std::span<CT>{C.f.data(), C.f.size()});
-    });
-    return;
-  }
   hl.A_stored.visit([&](const auto& m) {
-    residual(m, std::span<const CT>{L.f.data(), L.f.size()},
-             std::span<const CT>{L.u.data(), L.u.size()},
-             std::span<CT>{L.r.data(), L.r.size()}, q2);
+    residual_restrict(m, std::span<const CT>{L.f.data(), L.f.size()},
+                      std::span<const CT>{L.u.data(), L.u.size()}, q2,
+                      hl.to_coarse, std::span<CT>{C.f.data(), C.f.size()});
   });
-  restrict_to_coarse<CT>(hl.to_coarse, hl.A_full.block_size(),
-                         {L.r.data(), L.r.size()}, {C.f.data(), C.f.size()});
 }
 
 template <class CT>
@@ -207,9 +190,6 @@ class PanelOps {
     }
     // Panel Jacobi: the same double-buffered residual-fused sweep as the
     // single-vector path, all columns per matrix pass.
-    if (P.r.rows() != P.u.rows() || P.r.cols() != P.u.cols()) {
-      P.r.resize(P.u.rows(), P.u.cols());
-    }
     const CT w = static_cast<CT>(cfg.jacobi_weight);
     hl.A_stored.visit([&](const auto& m) {
       jacobi_sweep_fused_many(m, P.f, P.u, invdiag, q2, w, P.r);
@@ -223,16 +203,9 @@ class PanelOps {
     PanelData<CT>& P = panel(l);
     PanelData<CT>& C = panel(l + 1);
     const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
-    if (h_.config().fused_transfers != FusedTransfers::Off) {
-      hl.A_stored.visit([&](const auto& m) {
-        residual_restrict_many(m, P.f, P.u, q2, hl.to_coarse, C.f);
-      });
-      return;
-    }
-    hl.A_stored.visit(
-        [&](const auto& m) { residual_many(m, P.f, P.u, P.r, q2); });
-    restrict_to_coarse_many<CT>(hl.to_coarse, hl.A_full.block_size(), P.r,
-                                C.f);
+    hl.A_stored.visit([&](const auto& m) {
+      residual_restrict_many(m, P.f, P.u, q2, hl.to_coarse, C.f);
+    });
   }
 
   void coarse_solve(int l) {
@@ -297,15 +270,14 @@ void MGPrecond<CT>::ensure_panels(int k) {
   if (pv_.size() != static_cast<std::size_t>(nlev)) {
     pv_.assign(static_cast<std::size_t>(nlev), PanelData<CT>{});
   }
-  const MGConfig& cfg = h_->config();
+  const bool jacobi = h_->config().smoother == SmootherType::Jacobi;
   for (int l = 0; l < nlev; ++l) {
     const std::int64_t n = h_->level(l).A_full.nrows();
     PanelData<CT>& P = pv_[static_cast<std::size_t>(l)];
     if (P.u.rows() != n || P.u.cols() != k) {
       P.u.resize(n, k);
       P.f.resize(n, k);
-      if (cfg.fused_transfers == FusedTransfers::Off ||
-          cfg.smoother == SmootherType::Jacobi) {
+      if (jacobi) {
         P.r.resize(n, k);
       }
     }

@@ -21,13 +21,13 @@ namespace smg {
 /// never below FP32 (guideline §3.4).
 template <class CT>
 struct LevelData {
-  avec<CT> u, f, r;
+  avec<CT> u, f, r;  ///< r: the Jacobi ping-pong buffer (Jacobi only)
   avec<CT> q2;       ///< empty unless the level was scaled
   avec<CT> invdiag;  ///< smoother blocks in compute precision
 };
 
-/// Panel (multi-RHS) counterparts of LevelData's u/f/r.  The r panel only
-/// exists on the unfused reference path and as the Jacobi ping-pong buffer,
+/// Panel (multi-RHS) counterparts of LevelData's u/f/r.  The r panel is
+/// the Jacobi ping-pong buffer, allocated for the Jacobi smoother only,
 /// mirroring LevelData.
 template <class CT>
 struct PanelData {

@@ -1,18 +1,18 @@
 // Fused V-cycle downstroke kernels: residual→restrict without the residual
 // vector, and the residual-fused Jacobi sweep.
 //
-// The unfused downstroke writes the full fine residual r = f - A u to memory
-// only for the restriction to immediately re-read it: one full-vector store
-// plus one full-vector load per level per cycle, in a kernel family that is
-// memory-bandwidth-bound (PAPER.md §5, Fig. 7 — matrix+vector traffic, not
-// FLOPs, limits every mixed-precision kernel).  residual_restrict() removes
-// both passes: each fine line's residual is produced into a cache-resident
-// plane buffer with *exactly* the same arithmetic — and therefore bitwise the
-// same values — as the residual() dispatch in kernels/spmv.hpp, then gathered
+// A two-step downstroke (residual() then restrict_to_coarse()) writes the
+// full fine residual r = f - A u to memory only for the restriction to
+// immediately re-read it: one full-vector store plus one full-vector load
+// per level per cycle, in a kernel family that is memory-bandwidth-bound
+// (PAPER.md §5, Fig. 7 — matrix+vector traffic, not FLOPs, limits every
+// mixed-precision kernel).  residual_restrict() removes both passes: each
+// fine line's residual is produced into a cache-resident plane buffer with
+// *exactly* the same arithmetic — and therefore bitwise the same values — as
+// the residual() dispatch in kernels/spmv.hpp, then gathered
 // coarse-point-centrically into the coarse rhs using the same child order as
-// restrict_to_coarse() (core/transfer.hpp).  Fused and unfused downstrokes
-// are bitwise interchangeable, so MGConfig::fused_transfers is purely a
-// performance switch.
+// restrict_to_coarse() (core/transfer.hpp), so the fused downstroke is
+// bitwise identical to the two-step one (tests/kernels/test_fused.cpp).
 //
 // Parallelization is race-free by construction: threads own disjoint,
 // contiguous chunks of *coarse* z-planes, and each coarse dof is written by

@@ -1,16 +1,6 @@
 #include "obs/counters.hpp"
 
-#include <cfloat>
-
-#include "fp/half.hpp"
-
 namespace smg::obs {
-
-double format_max(Prec p) noexcept {
-  // Delegate to the exhaustive per-format table (fp/precision.hpp); kept as
-  // a distinct symbol only so existing obs:: callers keep linking.
-  return ::smg::format_max(p);
-}
 
 std::vector<LevelPrecisionCounters> collect_precision_counters(
     const MGHierarchy& h) {
@@ -42,8 +32,10 @@ std::vector<LevelPrecisionCounters> collect_precision_counters(
       ++promotions[static_cast<std::size_t>(d.level)];
     }
   }
+  bool narrow_above = false;  // some finer rung of the ladder is narrow
   for (int l = 0; l < h.nlevels(); ++l) {
     const Level& lev = h.level(l);
+    const Prec rung = cfg.storage_at(l);
     LevelPrecisionCounters c;
     c.level = l;
     c.rows = lev.A_full.nrows();
@@ -54,7 +46,8 @@ std::vector<LevelPrecisionCounters> collect_precision_counters(
                       static_cast<std::uint64_t>(bs);
     c.matrix_bytes = lev.A_stored.value_bytes();
     c.storage = lev.storage;
-    c.shifted = l >= cfg.shift_levid;
+    c.shifted = rung == cfg.compute && narrow_above;
+    narrow_above = narrow_above || is_narrow_storage(rung);
     c.scaled = lev.scaled;
     c.g = lev.g;
     c.gmax = lev.gmax;
@@ -63,7 +56,7 @@ std::vector<LevelPrecisionCounters> collect_precision_counters(
     if (lev.scaled && lev.g > 0.0) {
       c.headroom = lev.gmax / lev.g;
     } else if (lev.stored_max_abs > 0.0) {
-      c.headroom = ::smg::format_max(lev.storage) / lev.stored_max_abs;
+      c.headroom = format_max(lev.storage) / lev.stored_max_abs;
     }
     c.overflowed = lev.trunc.overflowed;
     c.flushed_to_zero = lev.trunc.underflowed;

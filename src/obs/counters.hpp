@@ -7,7 +7,8 @@
 //   * what magnitude range did the (scaled) matrix occupy before truncation,
 //   * how many entries actually overflowed / flushed to zero / landed
 //     subnormal when truncated to the storage format,
-//   * which levels the shift_levid escape hatch kept in compute precision,
+//   * which levels the §4.3 shift (a ladder whose coarse rungs are the
+//     compute precision) kept in compute precision,
 //   * how many storage->compute widenings one preconditioner apply performs
 //     (the FP16->FP32 conversion count Alg. 3 pays per cycle).
 #pragma once
@@ -24,8 +25,10 @@ struct LevelPrecisionCounters {
   std::int64_t rows = 0;
   std::uint64_t stored_values = 0;  ///< value slots streamed per matrix pass
   std::uint64_t matrix_bytes = 0;
-  Prec storage = Prec::FP64;  ///< effective (after shift_levid)
-  bool shifted = false;       ///< level >= shift_levid: stored in compute prec
+  Prec storage = Prec::FP64;  ///< effective, after any autopilot change
+  /// The ladder rung is the compute precision below a narrow finer rung
+  /// (the paper's shift_levid).
+  bool shifted = false;
   bool scaled = false;
 
   // Theorem 4.1 ledger (zeros when the level was not scaled).
@@ -58,9 +61,6 @@ struct LevelPrecisionCounters {
   std::uint32_t rescales = 0;    ///< Rescale decisions (G lowered in place)
   std::uint32_t promotions = 0;  ///< Promote decisions (storage widened)
 };
-
-/// Largest finite magnitude of a storage format.
-double format_max(Prec p) noexcept;
 
 /// Collect the per-level precision counters from a built hierarchy.
 std::vector<LevelPrecisionCounters> collect_precision_counters(

@@ -1,7 +1,7 @@
 // Type-erased SG-DIA matrix over the supported storage precisions.
 //
 // The multigrid hierarchy decides storage precision per level at runtime
-// (PrecisionConfig + shift_levid, §4.3); AnyMat lets a Level own "a matrix in
+// (MGConfig::storage_ladder, §4.3); AnyMat lets a Level own "a matrix in
 // whatever precision setup chose" while kernels stay statically typed via
 // std::visit dispatch.
 #pragma once

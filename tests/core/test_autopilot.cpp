@@ -361,7 +361,8 @@ TEST(Autopilot, PlannerShiftsUnderflowStorm) {
   cfg.min_coarse_cells = 64;
   cfg.precision_policy = PrecisionPolicy::Auto;
   MGHierarchy h(std::move(p.A), cfg);
-  EXPECT_EQ(h.config().shift_levid, 0);
+  // The realized ladder is the one-rung compute ladder (shift_levid = 0).
+  EXPECT_EQ(h.config().storage_ladder, std::vector<Prec>{h.config().compute});
   for (int l = 0; l < h.nlevels(); ++l) {
     EXPECT_EQ(h.level(l).A_stored.precision(), h.config().compute)
         << "level " << l;

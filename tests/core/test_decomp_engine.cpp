@@ -4,10 +4,12 @@
 // block sizes; PCG convergence histories match exactly under deterministic
 // reductions; the decomposed SymGS variant (per-box sweeps, block-Jacobi
 // boundary coupling) still contracts and converges on scaled FP16 levels;
-// the FP16 halo wire stays within its tolerance contract.
+// the FP16 halo wire stays within its tolerance contract, and the
+// SMG_HALO_FP16 switch accepts only its documented spellings.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 
 #include "core/mg_precond.hpp"
@@ -116,7 +118,7 @@ TEST(DecompEngine, JacobiBitwiseIdenticalAcrossStencilsAndBlockSizes) {
 TEST(DecompEngine, JacobiBitwiseIdenticalWithWCycleAndAsymmetricDecomp) {
   MGConfig cfg = config_d16_setup_scale();
   cfg.smoother = SmootherType::Jacobi;
-  cfg.cycle = CycleType::W;
+  cfg.cycle = CycleShape::W;
   MGHierarchy ha(make_laplace27(Box{17, 17, 13}).A,
                  decomposed(cfg, {2, 2, 1}));
   MGHierarchy hb(make_laplace27(Box{17, 17, 13}).A,
@@ -304,6 +306,46 @@ TEST(DecompEngine, RefreshLevelKeepsDecomposedPathConsistent) {
     ASSERT_EQ(e1[i], e2[i]);
   }
 }
+
+// --- SMG_HALO_FP16 environment override ---
+
+class HaloFp16Env : public ::testing::Test {
+ protected:
+  void TearDown() override { unsetenv("SMG_HALO_FP16"); }
+};
+
+TEST_F(HaloFp16Env, AcceptsOnOffSpellingsCaseInsensitively) {
+  MGConfig raw;
+  MGConfig packed;
+  packed.halo_fp16 = true;
+  for (const char* on : {"1", "on", "ON", "On", "true", "True", "yes", "YES"}) {
+    setenv("SMG_HALO_FP16", on, 1);
+    EXPECT_TRUE(effective_halo_fp16(raw)) << on;
+  }
+  for (const char* off :
+       {"0", "off", "OFF", "Off", "false", "FALSE", "no", "No"}) {
+    setenv("SMG_HALO_FP16", off, 1);
+    EXPECT_FALSE(effective_halo_fp16(packed)) << off;
+  }
+  setenv("SMG_HALO_FP16", "", 1);  // empty defers to the config
+  EXPECT_TRUE(effective_halo_fp16(packed));
+  unsetenv("SMG_HALO_FP16");
+  EXPECT_FALSE(effective_halo_fp16(raw));
+}
+
+class HaloFp16EnvDeathTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void TearDown() override { unsetenv("SMG_HALO_FP16"); }
+};
+
+TEST_P(HaloFp16EnvDeathTest, RejectsMalformedValue) {
+  setenv("SMG_HALO_FP16", GetParam(), 1);
+  EXPECT_DEATH(effective_halo_fp16(MGConfig{}),
+               "SMG_HALO_FP16 must be one of 1/on/true/yes or 0/off/false/no");
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformed, HaloFp16EnvDeathTest,
+                         ::testing::Values("garbage", "2", "enable", "on "));
 
 }  // namespace
 }  // namespace smg

@@ -1,5 +1,5 @@
 // MG hierarchy setup tests: level structure, precision assignment,
-// shift_levid, scaling decisions, complexities.
+// the storage ladder and its §4.3 shift, scaling decisions, complexities.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -91,7 +91,8 @@ TEST(Hierarchy, ScaleThenSetupWrapsFinestOnly) {
 TEST(Hierarchy, StoragePrecisionFollowsShiftLevid) {
   auto p = make_laplace27(Box{33, 33, 33});
   MGConfig cfg = base_config();
-  cfg.shift_levid = 2;  // levels >= 2 stored in compute precision (FP32)
+  // The paper's shift_levid = 2: levels >= 2 stored in compute precision.
+  cfg.storage_ladder = {Prec::FP16, Prec::FP16, Prec::FP32};
   MGHierarchy h(std::move(p.A), cfg);
   ASSERT_GE(h.nlevels(), 3);
   EXPECT_EQ(h.level(0).A_stored.precision(), Prec::FP16);
@@ -102,30 +103,24 @@ TEST(Hierarchy, StoragePrecisionFollowsShiftLevid) {
 }
 
 TEST(Hierarchy, ShiftLevidZeroOrNegativeStoresAllInCompute) {
-  // shift_levid <= 0 means *every* level is stored in compute precision;
-  // storage_at() and tag() must agree on that (the tag used to advertise a
-  // D16 that never materialized).
-  for (const int shift : {0, -3}) {
-    auto p = make_laplace27(Box{17, 17, 17});
-    MGConfig cfg = base_config();
-    cfg.shift_levid = shift;
-    EXPECT_EQ(cfg.tag().find("D16"), std::string::npos) << cfg.tag();
-    EXPECT_NE(cfg.tag().find("D32"), std::string::npos) << cfg.tag();
-    EXPECT_EQ(cfg.tag().find("shift"), std::string::npos) << cfg.tag();
-    MGHierarchy h(std::move(p.A), cfg);
-    for (int l = 0; l < h.nlevels(); ++l) {
-      EXPECT_EQ(h.level(l).A_stored.precision(), Prec::FP32)
-          << "shift=" << shift << " level " << l;
-      EXPECT_EQ(cfg.storage_at(l), Prec::FP32);
-    }
+  // shift_levid <= 0 is the one-rung compute ladder: *every* level is
+  // stored in compute precision, and storage_at() agrees.
+  auto p = make_laplace27(Box{17, 17, 17});
+  MGConfig cfg = base_config();
+  cfg.storage_ladder = {cfg.compute};
+  MGHierarchy h(std::move(p.A), cfg);
+  for (int l = 0; l < h.nlevels(); ++l) {
+    EXPECT_EQ(h.level(l).A_stored.precision(), Prec::FP32) << "level " << l;
+    EXPECT_EQ(cfg.storage_at(l), Prec::FP32);
   }
 }
 
 TEST(Hierarchy, ShiftLevidBeyondDepthShiftsNothing) {
   auto p = make_laplace27(Box{17, 17, 17});
   MGConfig cfg = base_config();
-  cfg.shift_levid = 99;  // deeper than any hierarchy this problem builds
-  EXPECT_NE(cfg.tag().find("D16"), std::string::npos) << cfg.tag();
+  // The shift sits deeper than any hierarchy this problem builds.
+  cfg.storage_ladder.assign(99, Prec::FP16);
+  cfg.storage_ladder.push_back(Prec::FP32);
   MGHierarchy h(std::move(p.A), cfg);
   for (int l = 0; l < h.nlevels(); ++l) {
     EXPECT_EQ(h.level(l).A_stored.precision(), Prec::FP16) << "level " << l;

@@ -29,7 +29,7 @@ TEST(HierarchyFingerprint, SensitiveToEverySetupInput) {
   c2.nu1 = 2;
   EXPECT_NE(hierarchy_fingerprint(p.A, c2), base);
   MGConfig c3 = cfg;
-  c3.storage = Prec::BF16;
+  c3.storage_ladder = {Prec::BF16};
   EXPECT_NE(hierarchy_fingerprint(p.A, c3), base);
   MGConfig c4 = cfg;
   c4.scale_safety *= 2.0;
@@ -42,6 +42,16 @@ TEST(HierarchyFingerprint, SensitiveToEverySetupInput) {
   MGConfig c6 = cfg;
   c6.layout = Layout::AOS;
   EXPECT_NE(hierarchy_fingerprint(p.A, c6), base);
+  // The box decomposition picks the engine a preconditioner runs on.
+  MGConfig c7 = cfg;
+  c7.decomp = {2, 2, 1};
+  EXPECT_NE(hierarchy_fingerprint(p.A, c7), base);
+  MGConfig c8 = cfg;
+  c8.decomp_min_box = 64;
+  EXPECT_NE(hierarchy_fingerprint(p.A, c8), base);
+  MGConfig c9 = cfg;
+  c9.halo_fp16 = true;
+  EXPECT_NE(hierarchy_fingerprint(p.A, c9), base);
 }
 
 TEST(HierarchyFingerprint, SensitiveToLowestMantissaBitOfFirstLastAndTailValues) {

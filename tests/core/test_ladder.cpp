@@ -1,7 +1,7 @@
 // Progressive-precision storage ladder (DESIGN.md §12): per-level rung
-// semantics, the deprecated shift_levid alias, the SMG_STORAGE_LADDER env
-// override, bitwise equivalence of the all-FP16 ladder with legacy configs,
-// and convergence-neutrality of the FP8 coarse rungs.
+// semantics, the SMG_STORAGE_LADDER env override, the §4.3 shift, bitwise
+// equivalence of ladders that spell the same rungs, and
+// convergence-neutrality of the FP8 coarse rungs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,9 +27,11 @@ LinOp<double> op_of(const StructMat<double>& A) {
 struct SolveOutcome {
   SolveResult res;
   avec<double> x;
+  std::vector<Prec> storage;  ///< realized storage precision per level
 };
 
-SolveOutcome solve_with(const Problem& p, MGConfig cfg, int max_iters = 400) {
+SolveOutcome solve_outcome(const Problem& p, MGConfig cfg,
+                           int max_iters = 400) {
   cfg.min_coarse_cells = 64;
   StructMat<double> A = p.A;
   MGHierarchy h(std::move(A), cfg);
@@ -37,11 +39,15 @@ SolveOutcome solve_with(const Problem& p, MGConfig cfg, int max_iters = 400) {
   const std::size_t n = p.b.size();
   SolveOutcome out;
   out.x.assign(n, 0.0);
+  for (int l = 0; l < h.nlevels(); ++l) {
+    out.storage.push_back(h.level(l).storage);
+  }
   SolveOptions opts;
   opts.max_iters = max_iters;
   opts.rtol = 1e-8;
-  // Fixed reduction order so two runs of the same numerical configuration
-  // are bit-reproducible (the bitwise assertions below depend on it).
+  // Fixed reduction order: iteration counts are thread-count independent
+  // and two runs of one numerical configuration are bit-reproducible (the
+  // bitwise assertions below depend on it).
   opts.deterministic_reductions = true;
   if (p.solver == "cg") {
     out.res = pcg<double>(op_of(p.A), {p.b.data(), n}, {out.x.data(), n}, *M,
@@ -51,6 +57,10 @@ SolveOutcome solve_with(const Problem& p, MGConfig cfg, int max_iters = 400) {
                              *M, opts);
   }
   return out;
+}
+
+SolveResult solve_with(const Problem& p, MGConfig cfg, int max_iters = 400) {
+  return solve_outcome(p, std::move(cfg), max_iters).res;
 }
 
 // --- storage_at / expand_ladder semantics ---
@@ -69,42 +79,11 @@ TEST(Ladder, StorageAtFollowsTheRungs) {
   EXPECT_EQ(cfg.expand_ladder(5), want);
 }
 
-TEST(Ladder, DeprecatedShiftLevidAliasExpands) {
-  // shift_levid=2 with FP16/FP32 is the ladder {fp16, fp16, fp32}.
-  MGConfig cfg;
-  cfg.compute = Prec::FP32;
-  cfg.storage = Prec::FP16;
-  cfg.shift_levid = 2;
-  const std::vector<Prec> want = {Prec::FP16, Prec::FP16, Prec::FP32,
-                                  Prec::FP32};
-  EXPECT_EQ(cfg.expand_ladder(4), want);
-
-  MGConfig ladder = cfg;
-  ladder.shift_levid = INT_MAX;
-  ladder.storage_ladder = want;
-  for (int l = 0; l < 8; ++l) {
-    EXPECT_EQ(ladder.storage_at(l), cfg.storage_at(l)) << "level " << l;
-  }
-
-  // shift_levid <= 0 stores everything at compute precision.
-  MGConfig all = cfg;
-  all.shift_levid = 0;
-  EXPECT_EQ(all.storage_at(0), Prec::FP32);
-  // An explicit ladder takes precedence over shift_levid.
-  MGConfig both = cfg;
-  both.storage_ladder = {Prec::BF16};
-  both.shift_levid = 0;
-  EXPECT_EQ(both.storage_at(3), Prec::BF16);
-}
-
-TEST(Ladder, TagListsTheRungs) {
-  MGConfig cfg;
-  cfg.compute = Prec::FP32;
-  cfg.storage_ladder = {Prec::FP16, Prec::FP16, Prec::FP8};
-  cfg.scale = ScaleMode::SetupThenScale;
-  EXPECT_EQ(cfg.tag(), "P32D[16.16.8]-setup-scale");
-  cfg.storage_ladder = {Prec::FP32};
-  EXPECT_EQ(cfg.tag(), "P32D[32]");  // no narrow rung: no scale suffix
+TEST(LadderDeathTest, HierarchyRejectsAnEmptyLadder) {
+  MGConfig cfg = config_d16_setup_scale();
+  cfg.storage_ladder.clear();
+  EXPECT_DEATH(MGHierarchy(make_laplace27(Box{6, 6, 6}).A, cfg),
+               "storage_ladder is empty");
 }
 
 // --- SMG_STORAGE_LADDER / SMG_LADDER_MIN_LEVEL environment overrides ---
@@ -129,10 +108,12 @@ TEST_F(LadderEnv, ParsesSeparatorVariants) {
 }
 
 TEST_F(LadderEnv, AutoKeywordSetsTheFlag) {
+  // "auto" keeps the configured ladder: its rungs cap the planner.
   MGConfig cfg;
+  cfg.storage_ladder = {Prec::BF16, Prec::FP32};
   setenv("SMG_STORAGE_LADDER", "auto", 1);
   bool auto_rungs = false;
-  EXPECT_TRUE(effective_storage_ladder(cfg, &auto_rungs).empty());
+  EXPECT_EQ(effective_storage_ladder(cfg, &auto_rungs), cfg.storage_ladder);
   EXPECT_TRUE(auto_rungs);
 }
 
@@ -155,24 +136,22 @@ TEST_F(LadderEnv, MinLevelOverride) {
   EXPECT_EQ(effective_ladder_min_level(cfg), cfg.ladder_min_level);
 }
 
-// --- all-FP16 ladder must reproduce the legacy shift_levid solves bitwise,
+// --- two spellings of the same rungs must solve bitwise identically, ---
 // --- across layout x stencil x block size ---
 
 using ProblemLayout = std::pair<std::string, Layout>;
 
 class LadderBitwise : public ::testing::TestWithParam<ProblemLayout> {};
 
-TEST_P(LadderBitwise, AllFp16LadderMatchesLegacy) {
-  const auto& [name, layout] = GetParam();
-  const Problem p = make_problem(name, Box{12, 12, 10});
-  MGConfig legacy = config_d16_setup_scale();
-  legacy.layout = layout;
-  MGConfig ladder = legacy;
-  ladder.storage_ladder = {Prec::FP16};
-
-  const SolveOutcome a = solve_with(p, legacy);
-  const SolveOutcome b = solve_with(p, ladder);
+// `shorter` relies on the last rung extending to every coarser level; `longer`
+// spells one rung per level of the same hierarchy.  The realized rungs, the
+// iteration count and every bit of the solution must agree.
+void expect_same_solve(const Problem& p, const std::string& name,
+                       const MGConfig& shorter, const MGConfig& longer) {
+  const SolveOutcome a = solve_outcome(p, shorter);
+  const SolveOutcome b = solve_outcome(p, longer);
   ASSERT_TRUE(a.res.converged) << name;
+  EXPECT_EQ(a.storage, b.storage) << name;
   EXPECT_EQ(a.res.iters, b.res.iters) << name;
   ASSERT_EQ(a.x.size(), b.x.size());
   for (std::size_t i = 0; i < a.x.size(); ++i) {
@@ -180,23 +159,40 @@ TEST_P(LadderBitwise, AllFp16LadderMatchesLegacy) {
   }
 }
 
-TEST_P(LadderBitwise, PartialShiftAliasMatchesLegacy) {
+TEST_P(LadderBitwise, SpelledOutFp16LadderMatchesOneRung) {
   const auto& [name, layout] = GetParam();
   const Problem p = make_problem(name, Box{12, 12, 10});
-  MGConfig legacy = config_d16_setup_scale();
-  legacy.layout = layout;
-  legacy.shift_levid = 1;
-  MGConfig ladder = config_d16_setup_scale();
-  ladder.layout = layout;
-  ladder.storage_ladder = {Prec::FP16, Prec::FP32};
+  MGConfig one = config_d16_setup_scale();
+  one.layout = layout;
+  const int depth = static_cast<int>(solve_outcome(p, one).storage.size());
+  ASSERT_GE(depth, 2) << name;
 
-  const SolveOutcome a = solve_with(p, legacy);
-  const SolveOutcome b = solve_with(p, ladder);
-  ASSERT_TRUE(a.res.converged) << name;
-  EXPECT_EQ(a.res.iters, b.res.iters) << name;
-  for (std::size_t i = 0; i < a.x.size(); ++i) {
-    ASSERT_EQ(a.x[i], b.x[i]) << name << " diverges at dof " << i;
+  MGConfig spelled = one;
+  spelled.storage_ladder.assign(static_cast<std::size_t>(depth), Prec::FP16);
+  expect_same_solve(p, name, one, spelled);
+}
+
+TEST_P(LadderBitwise, TwoRungShiftMatchesSpelledOutLadder) {
+  // The paper's shift_levid = 1: level 0 in FP16, every coarser level in
+  // the FP32 compute precision.
+  const auto& [name, layout] = GetParam();
+  const Problem p = make_problem(name, Box{12, 12, 10});
+  MGConfig two = config_d16_setup_scale();
+  two.layout = layout;
+  two.storage_ladder = {Prec::FP16, Prec::FP32};
+  const SolveOutcome ref = solve_outcome(p, two);
+  const int depth = static_cast<int>(ref.storage.size());
+  ASSERT_GE(depth, 2) << name;
+  EXPECT_EQ(ref.storage.front(), Prec::FP16) << name;
+  for (int l = 1; l < depth; ++l) {
+    EXPECT_EQ(ref.storage[static_cast<std::size_t>(l)], Prec::FP32)
+        << name << " level " << l;
   }
+
+  MGConfig spelled = two;
+  spelled.storage_ladder.assign(static_cast<std::size_t>(depth), Prec::FP32);
+  spelled.storage_ladder.front() = Prec::FP16;
+  expect_same_solve(p, name, two, spelled);
 }
 
 // laplace27: 27-point scalar; rhd3t: 7-point, 3x3 blocks; oil: 7-point
@@ -218,11 +214,11 @@ TEST(Ladder, Fp8CoarseRungsAreConvergenceNeutral) {
     MGConfig fp8 = fp16;
     fp8.storage_ladder = {Prec::FP16, Prec::FP16, Prec::FP8};
 
-    const SolveOutcome a = solve_with(p, fp16);
-    const SolveOutcome b = solve_with(p, fp8);
-    ASSERT_TRUE(a.res.converged) << name;
-    ASSERT_TRUE(b.res.converged) << name;
-    EXPECT_LE(std::abs(a.res.iters - b.res.iters), 2) << name;
+    const SolveResult a = solve_with(p, fp16);
+    const SolveResult b = solve_with(p, fp8);
+    ASSERT_TRUE(a.converged) << name;
+    ASSERT_TRUE(b.converged) << name;
+    EXPECT_LE(std::abs(a.iters - b.iters), 2) << name;
   }
 }
 
@@ -251,7 +247,7 @@ TEST(Ladder, Fp8RungsShrinkStoredBytes) {
 TEST(Ladder, PlannerShiftRewritesTheLadder) {
   // laplace27e8's coefficients overflow FP16 unscaled; under ScaleMode::None
   // the Auto planner must veto FP16 at level 0, shift the whole hierarchy to
-  // compute precision, and rewrite the explicit ladder to match.
+  // compute precision, and rewrite the ladder to match.
   const Problem p = make_problem("laplace27e8", Box{10, 10, 10});
   MGConfig cfg = config_d16_none();
   cfg.min_coarse_cells = 64;
@@ -303,9 +299,7 @@ TEST(Ladder, AutoPlannerPicksFp8OnAdmissibleCoarseLevels) {
   EXPECT_TRUE(logged_rung);
 
   // And the planned hierarchy still solves the problem.
-  MGConfig solved = cfg;
-  const SolveOutcome r = solve_with(p, solved);
-  EXPECT_TRUE(r.res.converged);
+  EXPECT_TRUE(solve_with(p, cfg).converged);
 }
 
 TEST(Ladder, AutoFlagIsInertUnderFixedPolicy) {

@@ -100,7 +100,7 @@ TEST(Integration, ShiftLevidRecoversUnderflowLosses) {
   const Problem p = make_problem("rhd", Box{12, 12, 10});
   MGConfig without = config_d16_setup_scale();
   MGConfig with = without;
-  with.shift_levid = 1;
+  with.storage_ladder = {Prec::FP16, Prec::FP32};  // shift_levid = 1
   const auto r1 = solve_with(p, without, 300);
   const auto r2 = solve_with(p, with, 300);
   ASSERT_TRUE(r1.converged);
@@ -113,7 +113,7 @@ TEST(Integration, Bf16NeedsNoScalingButCostsAccuracy) {
   // than FP16 and typically slower.
   const Problem p = make_problem("rhd", Box{12, 12, 10});
   MGConfig bf = config_d16_setup_scale();
-  bf.storage = Prec::BF16;
+  bf.storage_ladder = {Prec::BF16};
   StructMat<double> A = p.A;
   MGConfig probe = bf;
   probe.min_coarse_cells = 64;

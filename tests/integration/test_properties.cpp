@@ -207,7 +207,7 @@ TEST_P(VCyclePrecisionRobustness, NoWorseThanFull64) {
   MGConfig full = config_full64();
   full.min_coarse_cells = 64;
   MGConfig mix = config_d16_setup_scale();
-  mix.storage = pr.storage;
+  mix.storage_ladder = {pr.storage};
   mix.min_coarse_cells = 64;
 
   MGHierarchy hf(std::move(A1), full);

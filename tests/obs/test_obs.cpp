@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "core/mg_precond.hpp"
 #include "kernels/blas1.hpp"
@@ -172,26 +174,6 @@ TEST(TelemetrySpans, CountsExactPerVCycleApply) {
   EXPECT_EQ(t->apply_calls(), 0u);
 }
 
-TEST(TelemetrySpans, UnfusedPathCountsResidualPlusRestrict) {
-  const Problem p = make_problem("laplace27", Box{10, 10, 10});
-  MGConfig cfg = config_d16_setup_scale();
-  cfg.min_coarse_cells = 64;
-  cfg.fused_transfers = FusedTransfers::Off;
-  cfg.telemetry = obs::TelemetryLevel::Counters;
-  StructMat<double> A = p.A;
-  MGHierarchy h(std::move(A), cfg);
-  auto M = make_mg_precond<double>(h);
-  obs::Telemetry* t = M->telemetry();
-  const std::size_t n = p.b.size();
-  avec<double> r(n, 1.0), e(n, 0.0);
-  M->apply({r.data(), n}, {e.data(), n});
-  for (int l = 0; l + 1 < h.nlevels(); ++l) {
-    EXPECT_EQ(t->stat(obs::Kind::Residual, l).calls, 1u) << "level " << l;
-    EXPECT_EQ(t->stat(obs::Kind::Restrict, l).calls, 1u) << "level " << l;
-    EXPECT_EQ(t->stat(obs::Kind::ResidualRestrict, l).calls, 0u);
-  }
-}
-
 TEST(TelemetrySpans, NestedKernelSpansDoNotDoubleCount) {
   // nrm2 calls dot internally; the depth guard must record exactly one
   // Blas1 span per nrm2 dispatch.
@@ -298,7 +280,8 @@ TEST(PrecisionCounters, ShiftLevidEliminatesCoarseFlushes) {
   ASSERT_GT(coarse_flushed, 0u)
       << "expected oil's coarse levels to flush in FP16";
 
-  cfg.shift_levid = 1;  // store levels >= 1 in compute precision
+  // The paper's shift_levid = 1: levels >= 1 in compute precision.
+  cfg.storage_ladder = {Prec::FP16, Prec::FP32};
   StructMat<double> A1 = p.A;
   MGHierarchy h1(std::move(A1), cfg);
   for (const auto& c : obs::collect_precision_counters(h1)) {
@@ -415,7 +398,7 @@ TEST(PrecisionCounters, WCycleMultipliesConversionsByVisits) {
   MGConfig v_cfg = config_d16_setup_scale();
   v_cfg.min_coarse_cells = 64;
   MGConfig w_cfg = v_cfg;
-  w_cfg.cycle = CycleType::W;
+  w_cfg.cycle = CycleShape::W;
   StructMat<double> Av = p.A;
   MGHierarchy hv(std::move(Av), v_cfg);
   StructMat<double> Aw = p.A;
@@ -430,7 +413,7 @@ TEST(PrecisionCounters, WCycleMultipliesConversionsByVisits) {
     EXPECT_EQ(cw[l].conversions_per_apply,
               visits * cv[l].conversions_per_apply)
         << "level " << l;
-    if (w_cfg.cycle == CycleType::W && l + 2 < hv.nlevels()) {
+    if (w_cfg.cycle == CycleShape::W && l + 2 < hv.nlevels()) {
       visits *= 2;
     }
   }
@@ -440,7 +423,7 @@ TEST(PrecisionCounters, ShiftLevidIsReflected) {
   const Problem p = make_problem("laplace27", Box{10, 10, 10});
   MGConfig cfg = config_d16_setup_scale();
   cfg.min_coarse_cells = 64;
-  cfg.shift_levid = 1;
+  cfg.storage_ladder = {Prec::FP16, Prec::FP32};  // shift_levid = 1
   StructMat<double> A = p.A;
   MGHierarchy h(std::move(A), cfg);
   const auto counters = obs::collect_precision_counters(h);
@@ -454,6 +437,36 @@ TEST(PrecisionCounters, ShiftLevidIsReflected) {
       EXPECT_EQ(c.storage, Prec::FP16);
     }
   }
+}
+
+TEST(PrecisionCounters, ShiftedNeedsANarrowFinerRung) {
+  // A level is shifted when its rung is the compute precision below a
+  // narrow finer rung: {fp16, fp32} shifts every level past the finest,
+  // while an all-compute ladder or a narrow coarse rung shifts nothing.
+  const Problem p = make_problem("laplace27", Box{10, 10, 10});
+  const auto shifted_levels = [&p](std::vector<Prec> ladder) {
+    MGConfig cfg = config_d16_setup_scale();
+    cfg.min_coarse_cells = 64;
+    cfg.storage_ladder = std::move(ladder);
+    StructMat<double> A = p.A;
+    const MGHierarchy h(std::move(A), cfg);
+    std::vector<int> out;
+    for (const auto& c : obs::collect_precision_counters(h)) {
+      if (c.shifted) {
+        out.push_back(c.level);
+      }
+    }
+    EXPECT_GE(h.nlevels(), 3);
+    return std::make_pair(out, h.nlevels());
+  };
+  const auto [split, nlev] = shifted_levels({Prec::FP16, Prec::FP32});
+  std::vector<int> want;
+  for (int l = 1; l < nlev; ++l) {
+    want.push_back(l);
+  }
+  EXPECT_EQ(split, want);
+  EXPECT_TRUE(shifted_levels({Prec::FP32}).first.empty());
+  EXPECT_TRUE(shifted_levels({Prec::FP16, Prec::FP8}).first.empty());
 }
 
 // ---- deterministic reductions ---------------------------------------------

@@ -82,7 +82,7 @@ TEST(HaloModel, MeasuredBytesMatchModelExactlyWCycleAndSymGS) {
   // W-cycle doubles per-level visits below the finest; SymGS shares the
   // Jacobi exchange schedule (one u-exchange per sweep).
   MGConfig cfg = decomp_cfg({2, 2, 1}, SmootherType::SymGS);
-  cfg.cycle = CycleType::W;
+  cfg.cycle = CycleShape::W;
   cfg.nu1 = 2;
   auto p = make_laplace27(Box{17, 17, 17});
   MGHierarchy h(std::move(p.A), cfg);

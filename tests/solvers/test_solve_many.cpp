@@ -133,7 +133,7 @@ TEST(SolveMany, CopiesReproduceSingleHistoryAcrossStorageAndLayout) {
           break;
         default:
           cfg = config_d16_setup_scale();
-          cfg.storage = Prec::BF16;
+          cfg.storage_ladder = {Prec::BF16};
           break;
       }
       cfg.layout = layout;
