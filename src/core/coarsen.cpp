@@ -53,13 +53,16 @@ DimTables make_tables(int nf, int nc, bool coarsened) {
       }
     }
   }
-  for (int f = 0; f < nf; ++f) {
-    const auto p = detail::parents_of(f, nc, coarsened);
-    auto& d = t.ppar[static_cast<std::size_t>(f)];
-    d.count = p.count;
-    for (int q = 0; q < p.count; ++q) {
-      d.ci[q] = p.idx[q];
-      d.w[q] = p.w[q];
+  // P-parents are the transpose of the R-supports (R = P^T up to scale):
+  // fine index f's parents are the coarse indices whose support holds f,
+  // ascending, with the same weights.
+  for (int c = 0; c < nc; ++c) {
+    const auto& s = t.rsup[static_cast<std::size_t>(c)];
+    for (int q = 0; q < s.count; ++q) {
+      auto& d = t.ppar[static_cast<std::size_t>(s.fi[q])];
+      d.ci[d.count] = c;
+      d.w[d.count] = s.w[q];
+      ++d.count;
     }
   }
   return t;

@@ -65,39 +65,23 @@ AnyMat make_local_matrix(const StructMat<ST>& g, const SubBox& s) {
 }
 
 /// Per-box restriction: coarse box `cs`'s interior dofs gather their fine
-/// children from fine box `fs`'s interior+ghost storage.  Child enumeration
-/// order, weights, and static_cast<CT>(w) match restrict_to_coarse exactly,
-/// so each coarse dof's value is bitwise identical to the global kernel's.
+/// children from fine box `fs`'s interior+ghost storage through the same
+/// line primitive as restrict_to_coarse, on global x indices, so each
+/// coarse dof's value is bitwise identical to the global kernel's.
 template <class CT>
 void boxed_restrict(const Coarsening& c, int bs, const SubBox& fs,
                     const CT* rf, const SubBox& cs, CT* fc) {
   const Box fl = fs.local();
   const Box cl = cs.local();
-  const double rscale = c.restrict_scale();
+  const auto line = [&](int j, int k) {
+    return rf + fl.idx(0, j - fs.off(1), k - fs.off(2)) * bs;
+  };
   for (int K = cs.lo[2]; K < cs.lo[2] + cs.n[2]; ++K) {
-    const auto ck = detail::children_of(K, c.fine.nz, c.mask[2]);
     for (int J = cs.lo[1]; J < cs.lo[1] + cs.n[1]; ++J) {
-      const auto cj = detail::children_of(J, c.fine.ny, c.mask[1]);
-      for (int I = cs.lo[0]; I < cs.lo[0] + cs.n[0]; ++I) {
-        const auto ci = detail::children_of(I, c.fine.nx, c.mask[0]);
-        CT* dst =
-            fc + cl.idx(I - cs.off(0), J - cs.off(1), K - cs.off(2)) * bs;
-        for (int br = 0; br < bs; ++br) {
-          CT acc{0};
-          for (int a = 0; a < ck.count; ++a) {
-            for (int b = 0; b < cj.count; ++b) {
-              for (int cidx = 0; cidx < ci.count; ++cidx) {
-                const double w = rscale * ck.w[a] * cj.w[b] * ci.w[cidx];
-                const std::int64_t fcell =
-                    fl.idx(ci.idx[cidx] - fs.off(0), cj.idx[b] - fs.off(1),
-                           ck.idx[a] - fs.off(2));
-                acc += static_cast<CT>(w) * rf[fcell * bs + br];
-              }
-            }
-          }
-          dst[br] = acc;
-        }
-      }
+      detail::restrict_line(
+          c, J, K, bs, cs.lo[0], cs.lo[0] + cs.n[0], fs.off(0), line,
+          fc + cl.idx(cs.lo[0] - cs.off(0), J - cs.off(1), K - cs.off(2)) *
+                   bs);
     }
   }
 }
@@ -105,37 +89,23 @@ void boxed_restrict(const Coarsening& c, int bs, const SubBox& fs,
 /// Per-box prolongation: fine box `fs`'s interior dofs gather their coarse
 /// parents from the coarse storage box `cl` (a sub-box's local box shifted
 /// by `coff`, or the global coarse box with coff = 0 across the
-/// agglomeration boundary).  Parent fold order and weights match
-/// prolong_add exactly (bitwise-identical per fine dof).
+/// agglomeration boundary) through the same line primitive as prolong_add;
+/// x parity is that of the global index, so every fine dof is bitwise
+/// identical to the global kernel's.
 template <class CT>
 void boxed_prolong_add(const Coarsening& c, int bs, const CT* ec,
                        const Box& cl, const std::array<int, 3>& coff,
                        const SubBox& fs, CT* uf) {
   const Box fl = fs.local();
+  const auto line = [&](int J, int K) {
+    return ec + cl.idx(0, J - coff[1], K - coff[2]) * bs;
+  };
   for (int k = fs.lo[2]; k < fs.lo[2] + fs.n[2]; ++k) {
-    const auto pk = detail::parents_of(k, c.coarse.nz, c.mask[2]);
     for (int j = fs.lo[1]; j < fs.lo[1] + fs.n[1]; ++j) {
-      const auto pj = detail::parents_of(j, c.coarse.ny, c.mask[1]);
-      for (int i = fs.lo[0]; i < fs.lo[0] + fs.n[0]; ++i) {
-        const auto pi = detail::parents_of(i, c.coarse.nx, c.mask[0]);
-        const std::int64_t fcell =
-            fl.idx(i - fs.off(0), j - fs.off(1), k - fs.off(2));
-        for (int br = 0; br < bs; ++br) {
-          CT acc{0};
-          for (int a = 0; a < pk.count; ++a) {
-            for (int b = 0; b < pj.count; ++b) {
-              for (int cidx = 0; cidx < pi.count; ++cidx) {
-                const double w = pk.w[a] * pj.w[b] * pi.w[cidx];
-                const std::int64_t ccell =
-                    cl.idx(pi.idx[cidx] - coff[0], pj.idx[b] - coff[1],
-                           pk.idx[a] - coff[2]);
-                acc += static_cast<CT>(w) * ec[ccell * bs + br];
-              }
-            }
-          }
-          uf[fcell * bs + br] += acc;
-        }
-      }
+      detail::prolong_line(
+          c, j, k, bs, fs.lo[0], fs.lo[0] + fs.n[0], coff[0], line,
+          uf + fl.idx(fs.lo[0] - fs.off(0), j - fs.off(1), k - fs.off(2)) *
+                   bs);
     }
   }
 }

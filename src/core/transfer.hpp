@@ -19,10 +19,10 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "grid/box.hpp"
 #include "obs/telemetry.hpp"
+#include "util/aligned.hpp"
 #include "util/common.hpp"
 #include "util/multivector.hpp"
 
@@ -160,250 +160,361 @@ inline Children children_of(int X, int nf, bool coarsened) noexcept {
   return c;
 }
 
+/// The lines of the other grid that one output line reads, in the
+/// per-point (a, b) = (z, y) fold order, with their y/z weight products.
+struct LineRows {
+  int j[9]{};
+  int k[9]{};
+  double w[9]{};
+  int n = 0;
+
+  void add(int jj, int kk, double ww) noexcept {
+    j[n] = jj;
+    k[n] = kk;
+    w[n] = ww;
+    ++n;
+  }
+};
+
+/// Prolongation rows of fine line (j, k): its y/z coarse parents.
+inline LineRows prolong_rows(const Coarsening& c, int j, int k) noexcept {
+  LineRows r;
+  const Parents pk = parents_of(k, c.coarse.nz, c.mask[2]);
+  const Parents pj = parents_of(j, c.coarse.ny, c.mask[1]);
+  for (int a = 0; a < pk.count; ++a) {
+    for (int b = 0; b < pj.count; ++b) {
+      r.add(pj.idx[b], pk.idx[a], pk.w[a] * pj.w[b]);
+    }
+  }
+  return r;
+}
+
+/// Restriction rows of coarse line (J, K): its y/z fine children.
+inline LineRows restrict_rows(const Coarsening& c, int J, int K) noexcept {
+  LineRows r;
+  const double rscale = c.restrict_scale();
+  const Children ck = children_of(K, c.fine.nz, c.mask[2]);
+  const Children cj = children_of(J, c.fine.ny, c.mask[1]);
+  for (int a = 0; a < ck.count; ++a) {
+    for (int b = 0; b < cj.count; ++b) {
+      r.add(cj.idx[b], ck.idx[a], rscale * ck.w[a] * cj.w[b]);
+    }
+  }
+  return r;
+}
+
+/// One output line's hoisted transfer stencil: its rows' line pointers and
+/// weights, each weight cast to CT once per line — `full` for an x-term of
+/// weight 1, `half` for one of weight 1/2.  Every weight is a product of 1,
+/// 1/2 and restrict_scale(), all powers of two, so (CT)(w_zy * w_x) is
+/// exactly the per-point (CT)(w_z * w_y * w_x), and each w * v product is
+/// exact whenever it is a normal number.  The folds are pinned through
+/// mul_add: written as `acc += w * v`, GCC -O3 left some terms of the
+/// vectorized restriction run uncontracted, which differs from the per-point
+/// fold once w * v is subnormal and rounds.
+template <class CT>
+struct LineStencil {
+  const CT* row[9];
+  CT full[9];
+  CT half[9];
+  int n;
+
+  template <class LineFn>
+  LineStencil(const LineRows& r, LineFn&& line) : n(r.n) {
+    for (int t = 0; t < n; ++t) {
+      row[t] = line(r.j[t], r.k[t]);
+      full[t] = static_cast<CT>(r.w[t]);
+      half[t] = static_cast<CT>(r.w[t] * 0.5);
+    }
+  }
+};
+
+/// This thread's scratch of at least n values, grown and never shrunk.  A
+/// buffer allocated per call instead interleaves small allocations with the
+/// solver's large frees; through heap placement alone that raised the peak
+/// RSS of a 128^3 laplace27 setup-and-solve loop by 17 MB.
+template <class CT>
+CT* line_scratch(std::size_t n) {
+  thread_local avec<CT> buf;
+  if (buf.size() < n) {
+    buf.resize(n);
+  }
+  return buf.data();
+}
+
+/// u += P e on the fine points [ilo, ihi) (global x) of fine line (j, k).
+/// Each point holds w contiguous values (bs dofs times panel columns), each
+/// folded independently.  `u` addresses point ilo; line(J, K) returns coarse
+/// line (J, K) addressed so that point I sits at (I - corg) * w.
+///
+/// Every value keeps the per-point fold: from CT{0}, rows in (a, b) order,
+/// each row's x-parents ascending, the sum added to u once.  Rows are applied
+/// one at a time over the whole line with the partial sums in a scratch line
+/// `acc`, so each pass is a contiguous run: even points 2I read parent I, odd
+/// points 2I+1 read I and I+1, and an odd point without an upper parent
+/// reads only I.  Even and odd sums live in separate halves of `acc` and are
+/// interleaved into u by the last pass.
+template <int WC, class CT, class LineFn>
+void prolong_run(const Coarsening& c, int j, int k, int W, int ilo, int ihi,
+                 int corg, LineFn&& line, CT* SMG_RESTRICT u) {
+  if (ilo >= ihi) {
+    return;
+  }
+  const std::int64_t w = WC > 0 ? WC : W;
+  const LineStencil<CT> s(prolong_rows(c, j, k), line);
+  const std::int64_t n = (ihi - ilo) * w;
+  CT* SMG_RESTRICT acc = line_scratch<CT>(static_cast<std::size_t>(n));
+  for (std::int64_t q = 0; q < n; ++q) {
+    acc[q] = CT{0};
+  }
+  if (!c.mask[0]) {
+    for (int r = 0; r < s.n; ++r) {
+      const CT wf = s.full[r];
+      const CT* SMG_RESTRICT p = s.row[r] + (ilo - corg) * w;
+      for (std::int64_t q = 0; q < n; ++q) {
+        acc[q] = mul_add(wf, p[q], acc[q]);
+      }
+    }
+    for (std::int64_t q = 0; q < n; ++q) {
+      u[q] += acc[q];
+    }
+    return;
+  }
+  // Even points 2I for I in [e0, e1), odd points 2I+1 for I in [o0, o1);
+  // those in [o0, o2) have both parents.
+  const int nc = c.coarse.nx;
+  const int e0 = (ilo + 1) / 2;
+  const int e1 = (ihi + 1) / 2;
+  const int o0 = ilo / 2;
+  const int o1 = ihi / 2;
+  const int o2 = std::max(o0, std::min(o1, nc - 1));
+  const std::int64_t ne = (e1 - e0) * w;
+  const std::int64_t n2 = (o2 - o0) * w;
+  CT* SMG_RESTRICT ev = acc;
+  CT* SMG_RESTRICT od = acc + ne;
+  for (int r = 0; r < s.n; ++r) {
+    const CT wf = s.full[r];
+    const CT wh = s.half[r];
+    if (ne > 0) {
+      const CT* SMG_RESTRICT p = s.row[r] + (e0 - corg) * w;
+      for (std::int64_t q = 0; q < ne; ++q) {
+        ev[q] = mul_add(wf, p[q], ev[q]);
+      }
+    }
+    if (n2 > 0) {
+      const CT* SMG_RESTRICT p = s.row[r] + (o0 - corg) * w;
+      for (std::int64_t q = 0; q < n2; ++q) {
+        od[q] = mul_add(wh, p[q], od[q]);
+        od[q] = mul_add(wh, p[q + w], od[q]);
+      }
+    }
+    for (int I = o2; I < std::min(o1, nc); ++I) {
+      CT* SMG_RESTRICT d = od + (I - o0) * w;
+      const CT* SMG_RESTRICT p = s.row[r] + (I - corg) * w;
+      for (std::int64_t q = 0; q < w; ++q) {
+        d[q] = mul_add(wh, p[q], d[q]);
+      }
+    }
+  }
+  int i = ilo;
+  if (i & 1) {
+    for (std::int64_t q = 0; q < w; ++q) {
+      u[q] += od[q];
+    }
+    u += w;
+    od += w;
+    ++i;
+  }
+  const std::int64_t np = (ihi - i) / 2;
+  for (std::int64_t m = 0; m < np; ++m) {
+    for (std::int64_t q = 0; q < w; ++q) {
+      u[2 * m * w + q] += ev[m * w + q];
+      u[(2 * m + 1) * w + q] += od[m * w + q];
+    }
+  }
+  if ((ihi - i) & 1) {
+    for (std::int64_t q = 0; q < w; ++q) {
+      u[2 * np * w + q] += ev[np * w + q];
+    }
+  }
+}
+
+/// f = R r on the coarse points [Ilo, Ihi) (global x) of coarse line (J, K).
+/// `f` addresses point Ilo; line(j, k) returns fine line (j, k) addressed so
+/// that point i sits at (i - forg) * w.  Rows fold one at a time straight
+/// into f, from CT{0}, each row's x-children ascending — the per-point order.
+/// Interior points I in [1, nf/2) read children 2I-1, 2I, 2I+1 as one run;
+/// the clipped edge points (at most one per end) go through children_of.
+template <int WC, class CT, class LineFn>
+void restrict_run(const Coarsening& c, int J, int K, int W, int Ilo, int Ihi,
+                  int forg, LineFn&& line, CT* SMG_RESTRICT f) {
+  if (Ilo >= Ihi) {
+    return;
+  }
+  const std::int64_t w = WC > 0 ? WC : W;
+  const LineStencil<CT> s(restrict_rows(c, J, K), line);
+  const std::int64_t n = (Ihi - Ilo) * w;
+  for (std::int64_t q = 0; q < n; ++q) {
+    f[q] = CT{0};
+  }
+  if (!c.mask[0]) {
+    for (int r = 0; r < s.n; ++r) {
+      const CT wf = s.full[r];
+      const CT* SMG_RESTRICT p = s.row[r] + (Ilo - forg) * w;
+      for (std::int64_t q = 0; q < n; ++q) {
+        f[q] = mul_add(wf, p[q], f[q]);
+      }
+    }
+    return;
+  }
+  const int nf = c.fine.nx;
+  const int a0 = std::max(Ilo, 1);
+  const int a1 = std::max(a0, std::min(Ihi, nf / 2));
+  for (int r = 0; r < s.n; ++r) {
+    const CT wf = s.full[r];
+    const CT wh = s.half[r];
+    if (a1 > a0) {
+      const CT* SMG_RESTRICT p = s.row[r] + (2 * a0 - 1 - forg) * w;
+      CT* SMG_RESTRICT d = f + (a0 - Ilo) * w;
+      for (std::int64_t m = 0; m < a1 - a0; ++m) {
+        for (std::int64_t q = 0; q < w; ++q) {
+          const CT* SMG_RESTRICT pm = p + 2 * m * w + q;
+          CT a = d[m * w + q];
+          a = mul_add(wh, pm[0], a);
+          a = mul_add(wf, pm[w], a);
+          a = mul_add(wh, pm[2 * w], a);
+          d[m * w + q] = a;
+        }
+      }
+    }
+    const auto edge = [&](int I) {
+      const Children ci = children_of(I, nf, true);
+      CT* SMG_RESTRICT d = f + (I - Ilo) * w;
+      for (int t = 0; t < ci.count; ++t) {
+        const CT wx = ci.idx[t] == 2 * I ? wf : wh;
+        const CT* SMG_RESTRICT p = s.row[r] + (ci.idx[t] - forg) * w;
+        for (std::int64_t q = 0; q < w; ++q) {
+          d[q] = mul_add(wx, p[q], d[q]);
+        }
+      }
+    };
+    for (int I = Ilo; I < a0; ++I) {
+      edge(I);
+    }
+    for (int I = a1; I < Ihi; ++I) {
+      edge(I);
+    }
+  }
+}
+
+/// The transfer line primitive every prolongation kernel runs on (see
+/// prolong_run); W = 1 runs a compile-time-width copy so the x runs
+/// vectorize across points.
+template <class CT, class LineFn>
+void prolong_line(const Coarsening& c, int j, int k, int W, int ilo, int ihi,
+                  int corg, LineFn&& line, CT* u) {
+  if (W == 1) {
+    prolong_run<1>(c, j, k, W, ilo, ihi, corg, line, u);
+  } else {
+    prolong_run<0>(c, j, k, W, ilo, ihi, corg, line, u);
+  }
+}
+
+/// The transfer line primitive every restriction kernel runs on (see
+/// restrict_run).
+template <class CT, class LineFn>
+void restrict_line(const Coarsening& c, int J, int K, int W, int Ilo, int Ihi,
+                   int forg, LineFn&& line, CT* f) {
+  if (W == 1) {
+    restrict_run<1>(c, J, K, W, Ilo, Ihi, forg, line, f);
+  } else {
+    restrict_run<0>(c, J, K, W, Ilo, Ihi, forg, line, f);
+  }
+}
+
+/// f = R r over the whole grid, W values per point: one restrict_line per
+/// coarse line.  Each coarse dof is written by exactly one iteration, so the
+/// loop parallelizes race-free with a result independent of the thread
+/// count.
+template <class CT>
+void restrict_grid(const Coarsening& c, int W, const CT* rp, CT* fp) {
+  const obs::KernelSpan span(obs::Kind::Restrict);
+  const auto line = [&](int j, int k) { return rp + c.fine.idx(0, j, k) * W; };
+#pragma omp parallel for collapse(2) schedule(static)
+  for (int K = 0; K < c.coarse.nz; ++K) {
+    for (int J = 0; J < c.coarse.ny; ++J) {
+      restrict_line(c, J, K, W, 0, c.coarse.nx, 0, line,
+                    fp + c.coarse.idx(0, J, K) * W);
+    }
+  }
+}
+
+/// u += P e over the whole grid, W values per point: one prolong_line per
+/// fine line, each fine dof written by exactly one iteration.
+template <class CT>
+void prolong_grid(const Coarsening& c, int W, const CT* ep, CT* up) {
+  const obs::KernelSpan span(obs::Kind::Prolong);
+  const auto line = [&](int J, int K) {
+    return ep + c.coarse.idx(0, J, K) * W;
+  };
+#pragma omp parallel for collapse(2) schedule(static)
+  for (int k = 0; k < c.fine.nz; ++k) {
+    for (int j = 0; j < c.fine.ny; ++j) {
+      prolong_line(c, j, k, W, 0, c.fine.nx, 0, line,
+                   up + c.fine.idx(0, j, k) * W);
+    }
+  }
+}
+
 }  // namespace detail
 
-/// f_c = R r_f with R = P^T, in gather form: coarse dof (I,J,K) sums
-/// w * r(2I + t, ...) over its fine children.  Each coarse dof is written by
-/// exactly one iteration, so the loop parallelizes race-free — the scatter
-/// form (fine points adding into shared parents) cannot, because up to eight
-/// fine points contend on one coarse accumulator.  Vectors are dof-indexed
-/// (block size bs).  The child-gather order here is the contract the fused
-/// residual_restrict (kernels/fused.hpp) reproduces bitwise.
+/// f_c = R r_f with R = P^T, in gather form, bitwise independent of the
+/// thread count.  Vectors are dof-indexed (block size bs).  The fused
+/// residual_restrict (kernels/fused.hpp) runs the same line primitive on its
+/// residual planes and so matches this bitwise.
 template <class CT>
 void restrict_to_coarse(const Coarsening& c, int bs, std::span<const CT> rf,
                         std::span<CT> fc) {
-  const Box& fine = c.fine;
-  const Box& coarse = c.coarse;
-  SMG_CHECK(static_cast<std::int64_t>(rf.size()) == fine.size() * bs &&
-                static_cast<std::int64_t>(fc.size()) == coarse.size() * bs,
+  SMG_CHECK(static_cast<std::int64_t>(rf.size()) == c.fine.size() * bs &&
+                static_cast<std::int64_t>(fc.size()) == c.coarse.size() * bs,
             "restrict size mismatch");
-  const obs::KernelSpan span(obs::Kind::Restrict);
-  const double rscale = c.restrict_scale();
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int K = 0; K < coarse.nz; ++K) {
-    for (int J = 0; J < coarse.ny; ++J) {
-      const auto ck = detail::children_of(K, fine.nz, c.mask[2]);
-      const auto cj = detail::children_of(J, fine.ny, c.mask[1]);
-      for (int I = 0; I < coarse.nx; ++I) {
-        const auto ci = detail::children_of(I, fine.nx, c.mask[0]);
-        CT* SMG_RESTRICT dst = fc.data() + coarse.idx(I, J, K) * bs;
-        for (int br = 0; br < bs; ++br) {
-          CT acc{0};
-          for (int a = 0; a < ck.count; ++a) {
-            for (int b = 0; b < cj.count; ++b) {
-              for (int cidx = 0; cidx < ci.count; ++cidx) {
-                const double w = rscale * ck.w[a] * cj.w[b] * ci.w[cidx];
-                const std::int64_t fcell =
-                    fine.idx(ci.idx[cidx], cj.idx[b], ck.idx[a]);
-                acc += static_cast<CT>(w) * rf[fcell * bs + br];
-              }
-            }
-          }
-          dst[br] = acc;
-        }
-      }
-    }
-  }
+  detail::restrict_grid(c, bs, rf.data(), fc.data());
 }
 
-/// Reference scatter formulation of the same operator (iterate fine points,
-/// add into their parents).  Serial by necessity — kept as the ground truth
-/// the gather form is tested against; not used on the solve path.
-template <class CT>
-void restrict_to_coarse_scatter(const Coarsening& c, int bs,
-                                std::span<const CT> rf, std::span<CT> fc) {
-  const Box& fine = c.fine;
-  const Box& coarse = c.coarse;
-  SMG_CHECK(static_cast<std::int64_t>(rf.size()) == fine.size() * bs &&
-                static_cast<std::int64_t>(fc.size()) == coarse.size() * bs,
-            "restrict size mismatch");
-  for (auto& v : fc) {
-    v = CT{0};
-  }
-  const double rscale = c.restrict_scale();
-  for (int k = 0; k < fine.nz; ++k) {
-    const auto pk = detail::parents_of(k, coarse.nz, c.mask[2]);
-    for (int j = 0; j < fine.ny; ++j) {
-      const auto pj = detail::parents_of(j, coarse.ny, c.mask[1]);
-      for (int i = 0; i < fine.nx; ++i) {
-        const auto pi = detail::parents_of(i, coarse.nx, c.mask[0]);
-        const std::int64_t fcell = fine.idx(i, j, k);
-        for (int a = 0; a < pk.count; ++a) {
-          for (int b = 0; b < pj.count; ++b) {
-            for (int cidx = 0; cidx < pi.count; ++cidx) {
-              const double w = rscale * pk.w[a] * pj.w[b] * pi.w[cidx];
-              const std::int64_t ccell =
-                  coarse.idx(pi.idx[cidx], pj.idx[b], pk.idx[a]);
-              for (int br = 0; br < bs; ++br) {
-                fc[ccell * bs + br] +=
-                    static_cast<CT>(w) * rf[fcell * bs + br];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Panel restriction: F_c = R R_f for all columns of the panel in one pass
-/// over the transfer geometry.  Column c is bitwise identical to
-/// restrict_to_coarse on that column: the per-coarse-dof child list is
-/// enumerated in the same (a, b, cidx) order with the same
-/// static_cast<CT>(w) weights, and each column folds its own accumulator.
+/// Panel restriction: F_c = R R_f for all columns of the panel.  A panel
+/// point is bs * kp contiguous values, so the same line primitive folds
+/// every column exactly as restrict_to_coarse folds that column alone.
 template <class CT>
 void restrict_to_coarse_many(const Coarsening& c, int bs,
                              const MultiVector<CT>& rf, MultiVector<CT>& fc) {
-  const Box& fine = c.fine;
-  const Box& coarse = c.coarse;
-  SMG_CHECK(rf.rows() == fine.size() * bs && fc.rows() == coarse.size() * bs &&
+  SMG_CHECK(rf.rows() == c.fine.size() * bs &&
+                fc.rows() == c.coarse.size() * bs &&
                 rf.padded_cols() == fc.padded_cols(),
             "restrict_many size mismatch");
-  const obs::KernelSpan span(obs::Kind::Restrict);
-  const double rscale = c.restrict_scale();
-  const int kp = rf.padded_cols();
-  const CT* SMG_RESTRICT rp = rf.data();
-  CT* SMG_RESTRICT fp = fc.data();
-  // Hoist the pure per-coordinate child lookups out of the point loop (the
-  // same values the per-point calls would return).
-  std::vector<detail::Children> cxi(static_cast<std::size_t>(coarse.nx));
-  for (int I = 0; I < coarse.nx; ++I) {
-    cxi[static_cast<std::size_t>(I)] = detail::children_of(I, fine.nx, c.mask[0]);
-  }
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int K = 0; K < coarse.nz; ++K) {
-    for (int J = 0; J < coarse.ny; ++J) {
-      const auto ck = detail::children_of(K, fine.nz, c.mask[2]);
-      const auto cj = detail::children_of(J, fine.ny, c.mask[1]);
-      for (int I = 0; I < coarse.nx; ++I) {
-        const auto& ci = cxi[static_cast<std::size_t>(I)];
-        // Flatten the child triple loop once per coarse point; the list
-        // preserves the (a, b, cidx) fold order of the single-RHS kernel.
-        std::int64_t src[27];
-        CT wv[27];
-        int ns = 0;
-        for (int a = 0; a < ck.count; ++a) {
-          for (int b = 0; b < cj.count; ++b) {
-            for (int cidx = 0; cidx < ci.count; ++cidx) {
-              const double w = rscale * ck.w[a] * cj.w[b] * ci.w[cidx];
-              src[ns] = fine.idx(ci.idx[cidx], cj.idx[b], ck.idx[a]);
-              wv[ns] = static_cast<CT>(w);
-              ++ns;
-            }
-          }
-        }
-        CT* SMG_RESTRICT dst = fp + coarse.idx(I, J, K) * bs * kp;
-        for (int br = 0; br < bs; ++br) {
-          CT* SMG_RESTRICT dr = dst + static_cast<std::int64_t>(br) * kp;
-#pragma omp simd
-          for (int cc = 0; cc < kp; ++cc) {
-            CT acc{0};
-            for (int t = 0; t < ns; ++t) {
-              acc += wv[t] * rp[(src[t] * bs + br) * kp + cc];
-            }
-            dr[cc] = acc;
-          }
-        }
-      }
-    }
-  }
+  detail::restrict_grid(c, bs * rf.padded_cols(), rf.data(), fc.data());
 }
 
-/// Panel prolongation: U_f += P E_c for all columns in one pass; column c is
-/// bitwise identical to prolong_add on that column (same parent fold order,
-/// same weights, separate accumulator added once).
-template <class CT>
-void prolong_add_many(const Coarsening& c, int bs, const MultiVector<CT>& ec,
-                      MultiVector<CT>& uf) {
-  const Box& fine = c.fine;
-  const Box& coarse = c.coarse;
-  SMG_CHECK(uf.rows() == fine.size() * bs && ec.rows() == coarse.size() * bs &&
-                uf.padded_cols() == ec.padded_cols(),
-            "prolong_many size mismatch");
-  const obs::KernelSpan span(obs::Kind::Prolong);
-  const int kp = uf.padded_cols();
-  const CT* SMG_RESTRICT ep = ec.data();
-  CT* SMG_RESTRICT up = uf.data();
-  // Hoist the pure per-coordinate parent lookups out of the point loop.
-  std::vector<detail::Parents> pxi(static_cast<std::size_t>(fine.nx));
-  for (int i = 0; i < fine.nx; ++i) {
-    pxi[static_cast<std::size_t>(i)] = detail::parents_of(i, coarse.nx, c.mask[0]);
-  }
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int k = 0; k < fine.nz; ++k) {
-    for (int j = 0; j < fine.ny; ++j) {
-      const auto pk = detail::parents_of(k, coarse.nz, c.mask[2]);
-      const auto pj = detail::parents_of(j, coarse.ny, c.mask[1]);
-      for (int i = 0; i < fine.nx; ++i) {
-        const auto& pi = pxi[static_cast<std::size_t>(i)];
-        const std::int64_t fcell = fine.idx(i, j, k);
-        std::int64_t src[8];
-        CT wv[8];
-        int ns = 0;
-        for (int a = 0; a < pk.count; ++a) {
-          for (int b = 0; b < pj.count; ++b) {
-            for (int cidx = 0; cidx < pi.count; ++cidx) {
-              const double w = pk.w[a] * pj.w[b] * pi.w[cidx];
-              src[ns] = coarse.idx(pi.idx[cidx], pj.idx[b], pk.idx[a]);
-              wv[ns] = static_cast<CT>(w);
-              ++ns;
-            }
-          }
-        }
-        for (int br = 0; br < bs; ++br) {
-          CT* SMG_RESTRICT ur = up + (fcell * bs + br) * kp;
-#pragma omp simd
-          for (int cc = 0; cc < kp; ++cc) {
-            CT acc{0};
-            for (int t = 0; t < ns; ++t) {
-              acc += wv[t] * ep[(src[t] * bs + br) * kp + cc];
-            }
-            ur[cc] += acc;
-          }
-        }
-      }
-    }
-  }
-}
-
-/// u_f += P e_c: each fine point gathers from its coarse parents.  Already
-/// gather-form (fine-point-centric), so line-parallelism is free; the
-/// per-point accumulation order is unchanged, making the result bitwise
-/// identical at any thread count.
+/// u_f += P e_c: each fine line gathers from its coarse parents, bitwise
+/// independent of the thread count.
 template <class CT>
 void prolong_add(const Coarsening& c, int bs, std::span<const CT> ec,
                  std::span<CT> uf) {
-  const Box& fine = c.fine;
-  const Box& coarse = c.coarse;
-  SMG_CHECK(static_cast<std::int64_t>(uf.size()) == fine.size() * bs &&
-                static_cast<std::int64_t>(ec.size()) == coarse.size() * bs,
+  SMG_CHECK(static_cast<std::int64_t>(uf.size()) == c.fine.size() * bs &&
+                static_cast<std::int64_t>(ec.size()) == c.coarse.size() * bs,
             "prolong size mismatch");
-  const obs::KernelSpan span(obs::Kind::Prolong);
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int k = 0; k < fine.nz; ++k) {
-    for (int j = 0; j < fine.ny; ++j) {
-      const auto pk = detail::parents_of(k, coarse.nz, c.mask[2]);
-      const auto pj = detail::parents_of(j, coarse.ny, c.mask[1]);
-      for (int i = 0; i < fine.nx; ++i) {
-        const auto pi = detail::parents_of(i, coarse.nx, c.mask[0]);
-        const std::int64_t fcell = fine.idx(i, j, k);
-        for (int br = 0; br < bs; ++br) {
-          CT acc{0};
-          for (int a = 0; a < pk.count; ++a) {
-            for (int b = 0; b < pj.count; ++b) {
-              for (int cidx = 0; cidx < pi.count; ++cidx) {
-                const double w = pk.w[a] * pj.w[b] * pi.w[cidx];
-                const std::int64_t ccell =
-                    coarse.idx(pi.idx[cidx], pj.idx[b], pk.idx[a]);
-                acc += static_cast<CT>(w) * ec[ccell * bs + br];
-              }
-            }
-          }
-          uf[fcell * bs + br] += acc;
-        }
-      }
-    }
-  }
+  detail::prolong_grid(c, bs, ec.data(), uf.data());
+}
+
+/// Panel prolongation: U_f += P E_c for all columns; column c is bitwise
+/// identical to prolong_add on that column.
+template <class CT>
+void prolong_add_many(const Coarsening& c, int bs, const MultiVector<CT>& ec,
+                      MultiVector<CT>& uf) {
+  SMG_CHECK(uf.rows() == c.fine.size() * bs &&
+                ec.rows() == c.coarse.size() * bs &&
+                uf.padded_cols() == ec.padded_cols(),
+            "prolong_many size mismatch");
+  detail::prolong_grid(c, bs * uf.padded_cols(), ec.data(), uf.data());
 }
 
 }  // namespace smg

@@ -37,6 +37,16 @@ void xpay(std::span<const T> x, T alpha, std::span<T> y) noexcept {
   }
 }
 
+/// z = x - y (the Krylov residual r = b - A x).
+template <class T>
+void sub(std::span<const T> x, std::span<const T> y, std::span<T> z) noexcept {
+  const std::size_t n = z.size();
+#pragma omp parallel for simd
+  for (std::size_t i = 0; i < n; ++i) {
+    z[i] = x[i] - y[i];
+  }
+}
+
 template <class T>
 void scal(T alpha, std::span<T> x) noexcept {
   const obs::KernelSpan span(obs::Kind::Blas1);

@@ -9,10 +9,11 @@
 // mixed-precision kernel).  residual_restrict() removes both passes: each
 // fine line's residual is produced into a cache-resident plane buffer with
 // *exactly* the same arithmetic — and therefore bitwise the same values — as
-// the residual() dispatch in kernels/spmv.hpp, then gathered
-// coarse-point-centrically into the coarse rhs using the same child order as
-// restrict_to_coarse() (core/transfer.hpp), so the fused downstroke is
-// bitwise identical to the two-step one (tests/kernels/test_fused.cpp).
+// the residual() dispatch in kernels/spmv.hpp, then gathered one coarse line
+// at a time into the coarse rhs by the same line primitive as
+// restrict_to_coarse() (detail::restrict_line, core/transfer.hpp), so the
+// fused downstroke is bitwise identical to the two-step one
+// (tests/kernels/test_fused.cpp).
 //
 // Parallelization is race-free by construction: threads own disjoint,
 // contiguous chunks of *coarse* z-planes, and each coarse dof is written by
@@ -22,7 +23,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/transfer.hpp"
 #include "kernels/spmv.hpp"
@@ -323,7 +323,6 @@ void residual_restrict(const StructMat<ST>& A, std::span<const CT> f,
                 static_cast<std::int64_t>(fc.size()) == coarse.size() * bs,
             "residual_restrict size mismatch");
   const obs::KernelSpan span(obs::Kind::ResidualRestrict);
-  const double rscale = c.restrict_scale();
   const detail::ResidualLineCtx<ST, CT> ctx(A);
   const CT* fp = f.data();
   const CT* up = u.data();
@@ -347,48 +346,26 @@ void residual_restrict(const StructMat<ST>& A, std::span<const CT> f,
     const int k1 = static_cast<int>(
         static_cast<std::int64_t>(ncz) * (tid + 1) / nth);
     if (k0 < k1) {
-      // Rolling window of fine-plane residuals: a coarse plane's children
-      // are at most three consecutive fine planes, so slot kf % 3 never
-      // collides inside the window and plane 2K+1 survives as 2(K+1)-1.
+      // Rolling window of fine-plane residuals, each computed on its first
+      // request: a coarse plane's children are at most three consecutive
+      // fine planes, so slot kf % 3 never collides inside the window and
+      // plane 2K+1 survives as 2(K+1)-1.
       avec<CT> planes[3];
       int held[3] = {-1, -1, -1};
-      for (int K = k0; K < k1; ++K) {
-        const auto ck = detail::children_of(K, fine.nz, c.mask[2]);
-        const CT* pk[3];
-        for (int a = 0; a < ck.count; ++a) {
-          const int kf = ck.idx[a];
-          const int slot = kf % 3;
-          if (held[slot] != kf) {
-            if (planes[slot].size() != plane_dofs) {
-              planes[slot].resize(plane_dofs);
-            }
-            detail::residual_lines(ctx, A, fp, up, q2, kf, 0, fine.ny,
-                                   planes[slot].data());
-            held[slot] = kf;
-          }
-          pk[a] = planes[slot].data();
+      const auto line = [&](int j, int kf) -> const CT* {
+        const int slot = kf % 3;
+        if (held[slot] != kf) {
+          planes[slot].resize(plane_dofs);
+          detail::residual_lines(ctx, A, fp, up, q2, kf, 0, fine.ny,
+                                 planes[slot].data());
+          held[slot] = kf;
         }
+        return planes[slot].data() + j * lstride;
+      };
+      for (int K = k0; K < k1; ++K) {
         for (int J = 0; J < coarse.ny; ++J) {
-          const auto cj = detail::children_of(J, fine.ny, c.mask[1]);
-          for (int I = 0; I < coarse.nx; ++I) {
-            const auto ci = detail::children_of(I, fine.nx, c.mask[0]);
-            CT* SMG_RESTRICT dst = out + coarse.idx(I, J, K) * bs;
-            for (int br = 0; br < bs; ++br) {
-              CT acc{0};
-              for (int a = 0; a < ck.count; ++a) {
-                for (int b = 0; b < cj.count; ++b) {
-                  for (int cidx = 0; cidx < ci.count; ++cidx) {
-                    const double w = rscale * ck.w[a] * cj.w[b] * ci.w[cidx];
-                    acc += static_cast<CT>(w) *
-                           pk[a][cj.idx[b] * lstride +
-                                 static_cast<std::int64_t>(ci.idx[cidx]) * bs +
-                                 br];
-                  }
-                }
-              }
-              dst[br] = acc;
-            }
-          }
+          detail::restrict_line(c, J, K, bs, 0, coarse.nx, 0, line,
+                                out + coarse.idx(0, J, K) * bs);
         }
       }
     }
@@ -455,8 +432,8 @@ void jacobi_sweep_fused(const StructMat<ST>& A, std::span<const CT> f,
 /// sweep.  Column c is bitwise identical to residual_restrict on that column
 /// (and therefore to residual_many + restrict_to_coarse_many): the fine
 /// residual planes come from panel_lines — the panel mirror of
-/// residual_lines — and the coarse gather uses the same child order and
-/// static_cast<CT>(w) weights.  Same race-free parallelization: threads own
+/// residual_lines — and the coarse gather is the same line primitive on
+/// panel cells of bs * kp values.  Same race-free parallelization: threads own
 /// disjoint chunks of coarse z-planes with a rolling 3-plane window.
 template <class ST, class CT>
 void residual_restrict_many(const StructMat<ST>& A, const MultiVector<CT>& f,
@@ -472,7 +449,6 @@ void residual_restrict_many(const StructMat<ST>& A, const MultiVector<CT>& f,
                 u.padded_cols() == fc.padded_cols(),
             "residual_restrict_many size mismatch");
   const obs::KernelSpan span(obs::Kind::ResidualRestrict);
-  const double rscale = c.restrict_scale();
   const detail::PanelLineCtx<ST, CT> ctx(A);
   const int kp = f.padded_cols();
   const CT* fp = f.data();
@@ -482,12 +458,6 @@ void residual_restrict_many(const StructMat<ST>& A, const MultiVector<CT>& f,
   const std::size_t plane_dofs = static_cast<std::size_t>(lstride) *
                                  static_cast<std::size_t>(fine.ny) *
                                  static_cast<std::size_t>(kp);
-  // Hoist the pure per-coordinate child lookups out of the point loop.
-  std::vector<detail::Children> cxi(static_cast<std::size_t>(coarse.nx));
-  for (int I = 0; I < coarse.nx; ++I) {
-    cxi[static_cast<std::size_t>(I)] = detail::children_of(I, fine.nx, c.mask[0]);
-  }
-
 #pragma omp parallel
   {
 #if defined(_OPENMP)
@@ -505,60 +475,20 @@ void residual_restrict_many(const StructMat<ST>& A, const MultiVector<CT>& f,
     if (k0 < k1) {
       avec<CT> planes[3];
       int held[3] = {-1, -1, -1};
-      for (int K = k0; K < k1; ++K) {
-        const auto ck = detail::children_of(K, fine.nz, c.mask[2]);
-        const CT* pk[3];
-        for (int a = 0; a < ck.count; ++a) {
-          const int kf = ck.idx[a];
-          const int slot = kf % 3;
-          if (held[slot] != kf) {
-            if (planes[slot].size() != plane_dofs) {
-              planes[slot].resize(plane_dofs);
-            }
-            detail::panel_lines<true>(ctx, A, fp, up, q2, kf, 0, fine.ny,
-                                      planes[slot].data(), kp);
-            held[slot] = kf;
-          }
-          pk[a] = planes[slot].data();
+      const auto line = [&](int j, int kf) -> const CT* {
+        const int slot = kf % 3;
+        if (held[slot] != kf) {
+          planes[slot].resize(plane_dofs);
+          detail::panel_lines<true>(ctx, A, fp, up, q2, kf, 0, fine.ny,
+                                    planes[slot].data(), kp);
+          held[slot] = kf;
         }
+        return planes[slot].data() + j * lstride * kp;
+      };
+      for (int K = k0; K < k1; ++K) {
         for (int J = 0; J < coarse.ny; ++J) {
-          const auto cj = detail::children_of(J, fine.ny, c.mask[1]);
-          for (int I = 0; I < coarse.nx; ++I) {
-            const auto& ci = cxi[static_cast<std::size_t>(I)];
-            // Flatten the child triple loop once per coarse point — the
-            // same (a, b, cidx) fold order and static_cast<CT>(w) weights
-            // as the per-column code, not recomputed per column.
-            const CT* srcp[27];
-            std::int64_t soff[27];
-            CT wv[27];
-            int ns = 0;
-            for (int a = 0; a < ck.count; ++a) {
-              for (int b = 0; b < cj.count; ++b) {
-                for (int cidx = 0; cidx < ci.count; ++cidx) {
-                  const double w = rscale * ck.w[a] * cj.w[b] * ci.w[cidx];
-                  srcp[ns] = pk[a];
-                  soff[ns] = (cj.idx[b] * lstride +
-                              static_cast<std::int64_t>(ci.idx[cidx]) * bs) *
-                             kp;
-                  wv[ns] = static_cast<CT>(w);
-                  ++ns;
-                }
-              }
-            }
-            CT* SMG_RESTRICT dst = out + coarse.idx(I, J, K) * bs * kp;
-            for (int br = 0; br < bs; ++br) {
-              CT* SMG_RESTRICT dr = dst + static_cast<std::int64_t>(br) * kp;
-              const std::int64_t boff = static_cast<std::int64_t>(br) * kp;
-#pragma omp simd
-              for (int cc = 0; cc < kp; ++cc) {
-                CT acc{0};
-                for (int t = 0; t < ns; ++t) {
-                  acc += wv[t] * srcp[t][soff[t] + boff + cc];
-                }
-                dr[cc] = acc;
-              }
-            }
-          }
+          detail::restrict_line(c, J, K, bs * kp, 0, coarse.nx, 0, line,
+                                out + coarse.idx(0, J, K) * bs * kp);
         }
       }
     }

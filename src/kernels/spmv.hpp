@@ -47,23 +47,6 @@ inline CT widen1(ST v) noexcept {
   }
 }
 
-/// Deterministic a*b + c for the block-kernel folds.  The optimizer's FP
-/// contraction choice for a plain `acc += a * b` depends on the surrounding
-/// vectorization context, so the "same source shape at both sites" contract
-/// (single-RHS kernel vs its panel mirror) is not enough once the fold sits
-/// inside differently-shaped loops.  Pinning the operation removes the
-/// ambiguity: one hardware fma where the ISA has it, and on targets without
-/// an fma instruction the compiler cannot contract either site, so the
-/// explicit mul+add matches the kernels' plain expressions bitwise.
-template <class CT>
-inline CT mul_add(CT a, CT b, CT c) noexcept {
-#if defined(SMG_SIMD_AVX2) || defined(FP_FAST_FMA)
-  return std::fma(a, b, c);
-#else
-  return a * b + c;
-#endif
-}
-
 #if defined(SMG_SIMD_AVX2)
 
 /// All-ones in the first n lanes (n in [0, 8]).

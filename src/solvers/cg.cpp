@@ -40,15 +40,15 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   };
 
   const std::size_t n = b.size();
-  avec<KT> r(n), z(n), p(n), ap(n);
+  // No fill: each vector is first touched by the parallel kernel that
+  // produces it (ap by A, r by sub, z by M, p by the copy).
+  uvec<KT> r(n), z(n), p(n), ap(n);
   std::span<KT> rs{r.data(), n}, zs{z.data(), n}, ps{p.data(), n},
       aps{ap.data(), n};
 
   // r = b - A x
   A(x, aps);
-  for (std::size_t i = 0; i < n; ++i) {
-    r[i] = b[i] - ap[i];
-  }
+  sub<KT>(b, aps, rs);
 
   const double bnorm = vnrm2(b);
   const double target = opts.rtol * (bnorm > 0.0 ? bnorm : 1.0);
@@ -58,9 +58,7 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   }
 
   M.apply(rs, zs);
-  for (std::size_t i = 0; i < n; ++i) {
-    p[i] = z[i];
-  }
+  copy_convert<KT, KT>(zs, ps);
   double rz = vdot(rs, zs);
 
   // Self-healing bookkeeping (inert — zero extra work and a bitwise
@@ -90,17 +88,13 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
       }
     }
     A(x, aps);
-    for (std::size_t i = 0; i < n; ++i) {
-      r[i] = b[i] - ap[i];
-    }
+    sub<KT>(b, aps, rs);
     rnorm = vnrm2(rs);
     if (!std::isfinite(rnorm)) {
       return false;
     }
     M.apply(rs, zs);
-    for (std::size_t i = 0; i < n; ++i) {
-      p[i] = z[i];
-    }
+    copy_convert<KT, KT>(zs, ps);
     rz = vdot(rs, zs);
     stag_ref = rnorm;
     stag_count = 0;

@@ -39,11 +39,14 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   const std::size_t n = b.size();
   const int m = opts.restart;
 
-  std::vector<avec<KT>> V(static_cast<std::size_t>(m) + 1);
+  // No fill: each vector is first touched by the parallel kernel that
+  // produces it (V[0] by sub, V[j+1] by the normalization, w by A, z by M),
+  // so basis vectors a solve never reaches are never touched at all.
+  std::vector<uvec<KT>> V(static_cast<std::size_t>(m) + 1);
   for (auto& v : V) {
-    v.assign(n, KT{0});
+    v.resize(n);
   }
-  avec<KT> w(n), z(n);
+  uvec<KT> w(n), z(n);
   // Hessenberg in column-major: H[(j)*(m+1) + i].
   std::vector<double> H(static_cast<std::size_t>(m + 1) * m, 0.0);
   std::vector<double> cs(static_cast<std::size_t>(m), 0.0);
@@ -56,9 +59,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
 
   // Initial residual into V[0].
   A(x, {w.data(), n});
-  for (std::size_t i = 0; i < n; ++i) {
-    V[0][i] = b[i] - w[i];
-  }
+  sub<KT>(b, {w.data(), n}, {V[0].data(), n});
   double beta = vnrm2(std::span<const KT>{V[0].data(), n});
   if (opts.record_history) {
     res.history.push_back(beta / scale);
@@ -81,9 +82,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   // Recompute the true residual of the current x into V[0]/beta.
   const auto true_residual = [&] {
     A(x, {w.data(), n});
-    for (std::size_t i = 0; i < n; ++i) {
-      V[0][i] = b[i] - w[i];
-    }
+    sub<KT>(b, {w.data(), n}, {V[0].data(), n});
     beta = vnrm2(std::span<const KT>{V[0].data(), n});
   };
 
@@ -159,9 +158,11 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
         break;
       }
       if (hlast > 0.0) {
+        KT* SMG_RESTRICT vn = V[static_cast<std::size_t>(j) + 1].data();
+        const KT* SMG_RESTRICT wv = w.data();
+#pragma omp parallel for simd
         for (std::size_t i = 0; i < n; ++i) {
-          V[static_cast<std::size_t>(j) + 1][i] =
-              static_cast<KT>(static_cast<double>(w[i]) / hlast);
+          vn[i] = static_cast<KT>(static_cast<double>(wv[i]) / hlast);
         }
       }
 

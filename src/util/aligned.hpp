@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace smg {
@@ -44,5 +45,38 @@ struct AlignedAllocator {
 
 template <class T>
 using avec = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedAllocator whose value-less construct() default-initializes, so a
+/// `uvec<T>(n)` of trivial T allocates without writing: each page is first
+/// touched (and placed) by the parallel loop that produces its values,
+/// instead of by a serial zero fill.  Read nothing before writing it.
+template <class T>
+struct UninitAllocator : AlignedAllocator<T> {
+  template <class U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+
+  UninitAllocator() = default;
+  template <class U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  template <class U>
+  bool operator==(const UninitAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <class T>
+using uvec = std::vector<T, UninitAllocator<T>>;
 
 }  // namespace smg

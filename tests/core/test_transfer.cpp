@@ -10,6 +10,7 @@
 #endif
 
 #include "core/transfer.hpp"
+#include "transfer_oracle.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 
@@ -198,8 +199,8 @@ TEST(Transfer, GatherRestrictionMatchesScatterReference) {
         v = rng.uniform(-1.0, 1.0);
       }
       restrict_to_coarse<double>(c, bs, {r.data(), nf}, {g.data(), nc});
-      restrict_to_coarse_scatter<double>(c, bs, {r.data(), nf},
-                                         {s.data(), nc});
+      oracle::restrict_to_coarse_scatter<double>(c, bs, {r.data(), nf},
+                                                 {s.data(), nc});
       for (std::size_t i = 0; i < nc; ++i) {
         EXPECT_NEAR(g[i], s[i], 1e-13) << "i=" << i << " bs=" << bs;
       }
