@@ -1,5 +1,5 @@
 // Fused downstroke kernels: residual_restrict and jacobi_sweep_fused must be
-// bitwise identical to their two-step references (residual() into a scratch
+// bitwise identical to their two-step references (a residual into a scratch
 // vector, then restrict / diagonal-update) for every layout × storage ×
 // block-size × q2 combination, at every thread count.  Bitwise — not
 // "near" — because the fused kernels perform the same operations on the same
@@ -15,6 +15,7 @@
 #endif
 
 #include "core/transfer.hpp"
+#include "kernel_oracle.hpp"
 #include "kernels/fused.hpp"
 #include "kernels/spmv.hpp"
 #include "sgdia/struct_matrix.hpp"
@@ -54,8 +55,8 @@ avec<T> random_q2(std::int64_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Fused vs (residual; restrict_to_coarse) for one (storage, compute,
-/// layout, q2) combination on the given matrix.
+/// Fused vs (reference residual; restrict_to_coarse) for one (storage,
+/// compute, layout, q2) combination on the given matrix.
 template <class ST, class CT>
 void expect_fused_matches(const StructMat<double>& Ad, Layout layout,
                           bool with_q2, int min_dim) {
@@ -74,9 +75,9 @@ void expect_fused_matches(const StructMat<double>& Ad, Layout layout,
   }
 
   avec<CT> r(static_cast<std::size_t>(n));
-  residual(A, std::span<const CT>{f.data(), f.size()},
-           std::span<const CT>{u.data(), u.size()},
-           std::span<CT>{r.data(), r.size()}, q2);
+  oracle::residual(A, std::span<const CT>{f.data(), f.size()},
+                   std::span<const CT>{u.data(), u.size()},
+                   std::span<CT>{r.data(), r.size()}, q2);
   avec<CT> ref(nc);
   restrict_to_coarse<CT>(c, bs, {r.data(), r.size()}, {ref.data(), nc});
 

@@ -1,8 +1,9 @@
 // Multi-RHS (panel) kernels: column c of every *_many kernel must be BITWISE
-// identical to the corresponding single-RHS kernel on that column — across
-// layout x storage x block size x scaling x panel width, including the
-// wavefront-parallel SymGS path at every thread count.  This is the contract
-// the batched solver's bitwise-reproducibility guarantee rests on.
+// identical to the single-vector reference kernel (kernel_oracle.hpp) on
+// that column — across layout x storage x block size x scaling x panel
+// width, including the wavefront-parallel SymGS path at every thread count.
+// This is the contract the batched solver's bitwise-reproducibility
+// guarantee rests on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "core/smoother.hpp"
 #include "core/transfer.hpp"
 #include "grid/wavefront.hpp"
+#include "kernel_oracle.hpp"
 #include "kernels/blas1.hpp"
 #include "kernels/fused.hpp"
 #include "kernels/spmv.hpp"
@@ -154,10 +156,10 @@ void panel_case(Pattern pat, int bs, Layout layout, bool scaled, int k) {
   // --- SpMV ---
   spmv_many<ST, CT>(As, X, Y, q2);
   for (int c = 0; c < k; ++c) {
-    spmv<ST, CT>(As,
-                 {xs[static_cast<std::size_t>(c)].data(),
-                  static_cast<std::size_t>(n)},
-                 refs, q2);
+    oracle::spmv<ST, CT>(As,
+                         {xs[static_cast<std::size_t>(c)].data(),
+                          static_cast<std::size_t>(n)},
+                         refs, q2);
     EXPECT_TRUE(col_equal(Y, c, {ref.data(), ref.size()})) << "spmv";
   }
   expect_padding_zero(Y, "spmv");
@@ -165,12 +167,12 @@ void panel_case(Pattern pat, int bs, Layout layout, bool scaled, int k) {
   // --- Residual ---
   residual_many<ST, CT>(As, F, X, R, q2);
   for (int c = 0; c < k; ++c) {
-    residual<ST, CT>(As,
-                     {fs[static_cast<std::size_t>(c)].data(),
-                      static_cast<std::size_t>(n)},
-                     {xs[static_cast<std::size_t>(c)].data(),
-                      static_cast<std::size_t>(n)},
-                     refs, q2);
+    oracle::residual<ST, CT>(As,
+                             {fs[static_cast<std::size_t>(c)].data(),
+                              static_cast<std::size_t>(n)},
+                             {xs[static_cast<std::size_t>(c)].data(),
+                              static_cast<std::size_t>(n)},
+                             refs, q2);
     EXPECT_TRUE(col_equal(R, c, {ref.data(), ref.size()})) << "residual";
   }
   expect_padding_zero(R, "residual");
@@ -185,14 +187,14 @@ void panel_case(Pattern pat, int bs, Layout layout, bool scaled, int k) {
   gs_backward_many<ST, CT>(As, F, U, invds, q2);
   for (int c = 0; c < k; ++c) {
     avec<CT> useq = quarter;
-    gs_forward<ST, CT>(As,
-                       {fs[static_cast<std::size_t>(c)].data(),
-                        static_cast<std::size_t>(n)},
-                       {useq.data(), useq.size()}, invds, q2);
-    gs_backward<ST, CT>(As,
-                        {fs[static_cast<std::size_t>(c)].data(),
-                         static_cast<std::size_t>(n)},
-                        {useq.data(), useq.size()}, invds, q2);
+    oracle::gs_forward<ST, CT>(As,
+                               {fs[static_cast<std::size_t>(c)].data(),
+                                static_cast<std::size_t>(n)},
+                               {useq.data(), useq.size()}, invds, q2);
+    oracle::gs_backward<ST, CT>(As,
+                                {fs[static_cast<std::size_t>(c)].data(),
+                                 static_cast<std::size_t>(n)},
+                                {useq.data(), useq.size()}, invds, q2);
     EXPECT_TRUE(col_equal(U, c, {useq.data(), useq.size()})) << "symgs";
   }
   expect_padding_zero(U, "symgs");
@@ -201,12 +203,12 @@ void panel_case(Pattern pat, int bs, Layout layout, bool scaled, int k) {
   MultiVector<CT> UN(n, k);
   jacobi_sweep_fused_many<ST, CT>(As, F, X, invds, q2, CT{0.8}, UN);
   for (int c = 0; c < k; ++c) {
-    jacobi_sweep_fused<ST, CT>(As,
-                               {fs[static_cast<std::size_t>(c)].data(),
-                                static_cast<std::size_t>(n)},
-                               {xs[static_cast<std::size_t>(c)].data(),
-                                static_cast<std::size_t>(n)},
-                               invds, q2, CT{0.8}, refs);
+    oracle::jacobi_sweep_fused<ST, CT>(As,
+                                       {fs[static_cast<std::size_t>(c)].data(),
+                                        static_cast<std::size_t>(n)},
+                                       {xs[static_cast<std::size_t>(c)].data(),
+                                        static_cast<std::size_t>(n)},
+                                       invds, q2, CT{0.8}, refs);
     EXPECT_TRUE(col_equal(UN, c, {ref.data(), ref.size()})) << "jacobi";
   }
   expect_padding_zero(UN, "jacobi");
@@ -218,12 +220,12 @@ void panel_case(Pattern pat, int bs, Layout layout, bool scaled, int k) {
   residual_restrict_many<ST, CT>(As, F, X, q2, crs, FC);
   avec<CT> fcref(static_cast<std::size_t>(ncrows));
   for (int c = 0; c < k; ++c) {
-    residual_restrict<ST, CT>(As,
-                              {fs[static_cast<std::size_t>(c)].data(),
-                               static_cast<std::size_t>(n)},
-                              {xs[static_cast<std::size_t>(c)].data(),
-                               static_cast<std::size_t>(n)},
-                              q2, crs, {fcref.data(), fcref.size()});
+    oracle::residual_restrict<ST, CT>(As,
+                                      {fs[static_cast<std::size_t>(c)].data(),
+                                       static_cast<std::size_t>(n)},
+                                      {xs[static_cast<std::size_t>(c)].data(),
+                                       static_cast<std::size_t>(n)},
+                                      q2, crs, {fcref.data(), fcref.size()});
     EXPECT_TRUE(col_equal(FC, c, {fcref.data(), fcref.size()}))
         << "residual_restrict";
   }
@@ -358,14 +360,16 @@ void panel_wavefront_case(Pattern pat, int bs, Layout layout, bool scaled) {
   std::vector<avec<CT>> useq;
   for (int c = 0; c < k; ++c) {
     useq.push_back(quarter);
-    gs_forward<ST, CT>(As,
-                       {fs[static_cast<std::size_t>(c)].data(),
-                        static_cast<std::size_t>(n)},
-                       {useq.back().data(), useq.back().size()}, invds, q2);
-    gs_backward<ST, CT>(As,
-                        {fs[static_cast<std::size_t>(c)].data(),
-                         static_cast<std::size_t>(n)},
-                        {useq.back().data(), useq.back().size()}, invds, q2);
+    oracle::gs_forward<ST, CT>(As,
+                               {fs[static_cast<std::size_t>(c)].data(),
+                                static_cast<std::size_t>(n)},
+                               {useq.back().data(), useq.back().size()},
+                               invds, q2);
+    oracle::gs_backward<ST, CT>(As,
+                                {fs[static_cast<std::size_t>(c)].data(),
+                                 static_cast<std::size_t>(n)},
+                                {useq.back().data(), useq.back().size()},
+                                invds, q2);
   }
 
   const WavefrontSchedule wf =

@@ -10,6 +10,7 @@
 #include <omp.h>
 #endif
 
+#include "kernel_oracle.hpp"
 #include "kernels/spmv.hpp"
 #include "sgdia/struct_matrix.hpp"
 #include "util/rng.hpp"
@@ -95,7 +96,7 @@ TEST_P(SpmvParam, RefKernelMatchesDense) {
   auto A = random_matrix(box, c.pattern, c.bs, c.layout);
   auto x = random_vector<double>(A.nrows());
   avec<double> y(static_cast<std::size_t>(A.nrows()));
-  spmv_ref<double, double>(A, {x.data(), x.size()}, {y.data(), y.size()});
+  oracle::spmv_ref<double, double>(A, {x.data(), x.size()}, {y.data(), y.size()});
   const auto ref = dense_spmv(A, {x.data(), x.size()});
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_NEAR(y[i], ref[i], 1e-12);
