@@ -238,7 +238,10 @@ void MGHierarchy::setup_level_storage(int l) {
 
   if (cfg_.scale == ScaleMode::SetupThenScale &&
       needs_scaling(range, lev.storage)) {
-    if (!diagonal_positive(lev.A_full)) {
+    double safety = cfg_.scale_safety;
+    ScaleResult sr =
+        scale_factors(lev.A_full, safety, format_max(lev.storage));
+    if (!sr.diag_ok) {
       // A zero/negative/non-finite diagonal entry voids Theorem 4.1: no Q
       // exists.  Store this level unscaled in compute precision instead of
       // poisoning the scaled matrix with NaN.
@@ -253,12 +256,6 @@ void MGHierarchy::setup_level_storage(int l) {
       store_direct(lev, range);
       return;
     }
-
-    // Scale a *copy*: A_full must stay the true level operator for the
-    // smoother data above and for diagnostics.
-    StructMat<double> scaled = lev.A_full;
-    double safety = cfg_.scale_safety;
-    ScaleResult sr = scale_matrix(scaled, safety, format_max(lev.storage));
     if (!sr.applied) {
       // Nonsensical safety (<= 0 or non-finite): nothing sane to truncate.
       const Prec from = lev.storage;
@@ -270,15 +267,22 @@ void MGHierarchy::setup_level_storage(int l) {
       return;
     }
 
+    // The planner judges, and Guarded retains, a scaled FP64 *copy*: A_full
+    // must stay the true level operator for the smoother data above and
+    // for diagnostics.  Under Fixed nobody reads that copy, so none is made.
+    StructMat<double> scaled;
     if (planning) {
+      scaled = lev.A_full;
+      apply_scaling(scaled, sr.q2);
       StorageAnalysis an = analyze_storage(scaled, lev.storage);
       if (an.overflow_frac > 0.0 && safety > th_.repair_safety) {
         // The configured safety pushes entries past the format max
         // (G > G_max).  Re-derive the scaled copy at the clamped repair
         // safety — the cheap fix that keeps narrow storage.
-        scaled = lev.A_full;
         safety = th_.repair_safety;
-        sr = scale_matrix(scaled, safety, format_max(lev.storage));
+        sr = scale_factors(lev.A_full, safety, format_max(lev.storage));
+        scaled = lev.A_full;
+        apply_scaling(scaled, sr.q2);
         autopilot_log_.push_back({l, AutopilotTrigger::SetupPlan,
                                   AutopilotAction::Rescale, lev.storage,
                                   lev.storage, safety, analysis_reason(an)});
@@ -298,12 +302,15 @@ void MGHierarchy::setup_level_storage(int l) {
       }
     }
 
+    // One parallel pass from A_full into storage, scaled on the fly.
+    ScaledStore st = store_scaled(lev.A_full, sr.q2, lev.storage, cfg_.layout);
+    lev.A_stored = std::move(st.A);
+    lev.trunc = st.trunc;
+    record_stored_range(st.range, lev);
     lev.scaled = true;
     lev.q2 = std::move(sr.q2);
     lev.gmax = sr.gmax;
     lev.g = sr.G;
-    record_stored_range(abs_range(scaled), lev);
-    lev.A_stored = AnyMat::from(scaled, lev.storage, cfg_.layout, &lev.trunc);
     if (cfg_.truncate_smoother) {
       truncate_invdiag_scaled(lev);
     }
@@ -348,24 +355,18 @@ void MGHierarchy::truncate_invdiag_scaled(Level& lev) {
   // consume.
   const int bsz = lev.A_full.block_size();
   const std::int64_t nc = lev.A_full.ncells();
+  const double* SMG_RESTRICT q2 = lev.q2.data();
+  double* SMG_RESTRICT inv = lev.invdiag.data();
+  const Prec storage = lev.storage;
+#pragma omp parallel for schedule(static)
   for (std::int64_t cell = 0; cell < nc; ++cell) {
     for (int br = 0; br < bsz; ++br) {
       for (int bc = 0; bc < bsz; ++bc) {
-        lev.invdiag[static_cast<std::size_t>(
-            (cell * bsz + br) * bsz + bc)] *=
-            lev.q2[static_cast<std::size_t>(cell * bsz + br)] *
-            lev.q2[static_cast<std::size_t>(cell * bsz + bc)];
-      }
-    }
-  }
-  truncate_smoother_data(lev.invdiag, lev.storage);
-  for (std::int64_t cell = 0; cell < nc; ++cell) {
-    for (int br = 0; br < bsz; ++br) {
-      for (int bc = 0; bc < bsz; ++bc) {
-        lev.invdiag[static_cast<std::size_t>(
-            (cell * bsz + br) * bsz + bc)] /=
-            lev.q2[static_cast<std::size_t>(cell * bsz + br)] *
-            lev.q2[static_cast<std::size_t>(cell * bsz + bc)];
+        const double s = q2[cell * bsz + br] * q2[cell * bsz + bc];
+        double& v = inv[(cell * bsz + br) * bsz + bc];
+        v *= s;
+        truncate_smoother_value(v, storage);
+        v /= s;
       }
     }
   }

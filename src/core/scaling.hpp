@@ -13,13 +13,16 @@
 #pragma once
 
 #include <limits>
+#include <span>
 
+#include "sgdia/any_matrix.hpp"
 #include "sgdia/struct_matrix.hpp"
 #include "util/aligned.hpp"
 
 namespace smg {
 
 struct ScaleResult {
+  /// A scaling exists (and scale_matrix applied it).
   bool applied = false;
   /// False when a per-dof diagonal entry was zero, negative, or non-finite:
   /// sqrt(d_r d_c) is then undefined and no Q exists.  The matrix is left
@@ -41,6 +44,15 @@ bool diagonal_positive(const StructMat<double>& A);
 /// zero/negative/non-finite entry (no admissible G exists).
 double compute_gmax(const StructMat<double>& A, double S);
 
+/// The scaling scale_matrix would apply to A, without applying it: G_max,
+/// G = safety * G_max and q2.  diag_ok and applied as for scale_matrix.
+ScaleResult scale_factors(const StructMat<double>& A, double safety,
+                          double S);
+
+/// Scale A in place to Â = Q^{-1/2} A Q^{-1/2}: entry (r, c) becomes
+/// v * (1/q2[r] * 1/q2[c]).
+void apply_scaling(StructMat<double>& A, std::span<const double> q2);
+
 /// Scale A in place to Â = Q^{-1/2} A Q^{-1/2} with G = safety * G_max.
 /// On a zero/negative/non-finite diagonal entry the matrix is left untouched
 /// and the result reports applied == false, diag_ok == false.
@@ -56,6 +68,21 @@ struct AbsRange {
 /// One parallel pass computing both ends of the range.  Max and min are
 /// exact reductions, so the result does not depend on the thread count.
 AbsRange abs_range(const StructMat<double>& A);
+
+/// A scaled level in its storage format, with what its store reports.
+struct ScaledStore {
+  AnyMat A;              ///< Â = Q^{-1/2} A Q^{-1/2} at precision p
+  TruncateReport trunc;  ///< truncation events of Â's values
+  AbsRange range;        ///< magnitude range of Â's values (pre-truncation)
+};
+
+/// Store Â = Q^{-1/2} A Q^{-1/2} at precision `p` and `layout` in one
+/// parallel pass: each (diagonal, line) run of A is scaled in a
+/// thread-private buffer, its range folded, and truncated straight into
+/// first-touched storage.  Byte for byte what a copy of A, apply_scaling,
+/// abs_range and AnyMat::from give; no scaled FP64 copy is made.
+ScaledStore store_scaled(const StructMat<double>& A,
+                         std::span<const double> q2, Prec p, Layout layout);
 
 /// Largest absolute value over stored entries.
 double max_abs_value(const StructMat<double>& A);

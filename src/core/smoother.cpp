@@ -66,42 +66,15 @@ void invert_block(double* a, int n) {
 }  // namespace
 
 std::size_t truncate_smoother_data(avec<double>& data, Prec storage) {
-  // Smoother-data precision floor: FP8 matrix levels round their inverse
-  // diagonals at FP16, not FP8.  The data lives in double arrays either way
-  // (this truncation is a rounding emulation, not a byte saving), and a
-  // 3-bit mantissa would perturb the smoother far beyond the matrix
-  // quantization it rides along with.
-  if (storage == Prec::FP8) {
-    storage = Prec::FP16;
+  if (storage == Prec::FP64) {
+    return 0;
   }
   const auto n = static_cast<std::int64_t>(data.size());
   double* v = data.data();
-  if (storage != Prec::FP16 && storage != Prec::BF16) {
-    if (storage == Prec::FP32) {
-#pragma omp parallel for schedule(static)
-      for (std::int64_t i = 0; i < n; ++i) {
-        v[i] = static_cast<double>(static_cast<float>(v[i]));
-      }
-    }
-    return 0;
-  }
   std::size_t guarded = 0;
 #pragma omp parallel for schedule(static) reduction(+ : guarded)
   for (std::int64_t i = 0; i < n; ++i) {
-    float r;
-    bool safe;
-    if (storage == Prec::FP16) {
-      const half h(static_cast<float>(v[i]));
-      safe = h.is_finite() && !(v[i] != 0.0 && h.is_zero());
-      r = static_cast<float>(h);
-    } else {
-      const bfloat16 b(static_cast<float>(v[i]));
-      safe = b.is_finite() && !(v[i] != 0.0 && b.is_zero());
-      r = static_cast<float>(b);
-    }
-    if (safe) {
-      v[i] = static_cast<double>(r);
-    } else {
+    if (!truncate_smoother_value(v[i], storage)) {
       ++guarded;
     }
   }

@@ -29,6 +29,40 @@ avec<double> compute_invdiag(const StructMat<double>& A);
 /// problems).  Returns how many entries were guarded.
 std::size_t truncate_smoother_data(avec<double>& data, Prec storage);
 
+/// One value of truncate_smoother_data: rounds `v` through `storage` and
+/// returns true, or leaves it and returns false where the guard holds it.
+/// FP8 levels round their smoother data at FP16: the data lives in double
+/// arrays either way (a rounding emulation, not a byte saving), and a 3-bit
+/// mantissa would perturb the smoother far beyond the matrix quantization
+/// it rides along with.
+inline bool truncate_smoother_value(double& v, Prec storage) noexcept {
+  switch (storage) {
+    case Prec::FP64:
+      return true;
+    case Prec::FP32:
+      v = static_cast<double>(static_cast<float>(v));
+      return true;
+    case Prec::FP16:
+    case Prec::FP8: {
+      const half h(v);
+      if (!h.is_finite() || (v != 0.0 && h.is_zero())) {
+        return false;
+      }
+      v = static_cast<double>(static_cast<float>(h));
+      return true;
+    }
+    case Prec::BF16: {
+      const bfloat16 b(v);
+      if (!b.is_finite() || (v != 0.0 && b.is_zero())) {
+        return false;
+      }
+      v = static_cast<double>(static_cast<float>(b));
+      return true;
+    }
+  }
+  return true;
+}
+
 /// Decide and build the wavefront schedule driving one level's SymGS sweeps
 /// (line granularity for the SOA-family layouts, cell granularity for AOS).
 /// Returns an *invalid* schedule — meaning "use the sequential sweep" — when

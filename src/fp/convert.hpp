@@ -6,14 +6,18 @@
 // decide whether scaling is needed and tests use to validate Theorem 4.1.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
+#include <type_traits>
 
 #include "fp/bfloat16.hpp"
 #include "fp/fp8.hpp"
 #include "fp/half.hpp"
 #include "fp/precision.hpp"
+#include "util/common.hpp"
 
 #if defined(SMG_SIMD_AVX2)
 #include <immintrin.h>
@@ -37,13 +41,79 @@ struct TruncateReport {
   }
 };
 
+#if defined(SMG_SIMD_AVX2)
+namespace detail {
+
+/// Counts of eight just-truncated values, from their half bits `h` and the
+/// 8-bit lane masks of the source values that were zero and infinite.
+inline TruncateReport count_half_lanes(__m128i h, unsigned src_zero,
+                                       unsigned src_inf) noexcept {
+  const auto lanes = [](__m128i m) {
+    return static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_packs_epi16(m, _mm_setzero_si128())));
+  };
+  const __m128i mag = _mm_and_si128(h, _mm_set1_epi16(0x7FFF));
+  const unsigned inf = lanes(_mm_cmpeq_epi16(mag, _mm_set1_epi16(0x7C00)));
+  const unsigned zero = lanes(_mm_cmpeq_epi16(mag, _mm_setzero_si128()));
+  const unsigned below_normal =
+      lanes(_mm_cmplt_epi16(mag, _mm_set1_epi16(0x0400)));
+  TruncateReport rep;
+  // A value that lands on inf overflowed unless it was inf already (a NaN
+  // stays NaN); one that lands on zero underflowed unless it was zero.
+  rep.overflowed = static_cast<std::size_t>(std::popcount(inf & ~src_inf));
+  rep.underflowed = static_cast<std::size_t>(std::popcount(zero & ~src_zero));
+  rep.subnormal = static_cast<std::size_t>(std::popcount(below_normal & ~zero));
+  return rep;
+}
+
+}  // namespace detail
+#endif
+
+/// Truncate `src` into `dst` (equal sizes), counting the overflow,
+/// underflow and subnormal landings of the narrow storage formats.
+///
+/// Each value is rounded once from the source: bfloat16 and fp8 go through
+/// their single-rounding double constructors.  Half keeps double -> float ->
+/// half, which is what F16C computes (it has no double -> half instruction):
+/// with AVX2 eight doubles per step go through two vcvtpd2ps and one
+/// vcvtps2ph, the same bytes and counts as the scalar loop.
 template <class Dst, class Src>
 inline TruncateReport truncate(std::span<const Src> src, std::span<Dst> dst) {
+  SMG_CHECK(src.size() == dst.size(),
+            "truncate: source and destination sizes differ");
   TruncateReport rep;
-  const std::size_t n = std::min(src.size(), dst.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  const std::size_t n = src.size();
+  std::size_t i = 0;
+#if defined(SMG_SIMD_AVX2)
+  if constexpr (std::is_same_v<Dst, half> && std::is_same_v<Src, double>) {
+    const __m256d abs_mask =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFF));
+    const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    const __m256d zero = _mm256_setzero_pd();
+    for (; i + 8 <= n; i += 8) {
+      const __m256d lo = _mm256_loadu_pd(src.data() + i);
+      const __m256d hi = _mm256_loadu_pd(src.data() + i + 4);
+      const __m256 f = _mm256_insertf128_ps(
+          _mm256_castps128_ps256(_mm256_cvtpd_ps(lo)), _mm256_cvtpd_ps(hi), 1);
+      const __m128i h =
+          _mm256_cvtps_ph(f, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst.data() + i), h);
+      const auto mask8 = [](__m256d l, __m256d u) {
+        return static_cast<unsigned>(_mm256_movemask_pd(l) |
+                                     (_mm256_movemask_pd(u) << 4));
+      };
+      const unsigned src_zero = mask8(_mm256_cmp_pd(lo, zero, _CMP_EQ_OQ),
+                                      _mm256_cmp_pd(hi, zero, _CMP_EQ_OQ));
+      const unsigned src_inf =
+          mask8(_mm256_cmp_pd(_mm256_and_pd(lo, abs_mask), inf, _CMP_EQ_OQ),
+                _mm256_cmp_pd(_mm256_and_pd(hi, abs_mask), inf, _CMP_EQ_OQ));
+      rep += detail::count_half_lanes(h, src_zero, src_inf);
+    }
+  }
+#endif
+  for (; i < n; ++i) {
     const auto s = src[i];
-    const Dst d{static_cast<float>(s)};
+    const Dst d = static_cast<Dst>(s);
     if constexpr (is_storage_only_v<Dst>) {
       const bool src_finite = std::isfinite(static_cast<double>(s));
       if (src_finite && d.is_inf()) {
@@ -70,18 +140,6 @@ inline TruncateReport truncate(std::span<const Src> src, std::span<Dst> dst) {
       }
     }
     dst[i] = d;
-  }
-  return rep;
-}
-
-template <class Dst, class Src>
-  requires(!is_storage_only_v<Dst> && !is_storage_only_v<Src>)
-inline TruncateReport truncate_plain(std::span<const Src> src,
-                                     std::span<Dst> dst) {
-  TruncateReport rep;
-  const std::size_t n = std::min(src.size(), dst.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<Dst>(src[i]);
   }
   return rep;
 }

@@ -4,19 +4,9 @@ namespace smg {
 
 AnyMat AnyMat::from(const StructMat<double>& src, Prec p, Layout layout,
                     TruncateReport* report) {
-  switch (p) {
-    case Prec::FP64:
-      return AnyMat(convert<double>(src, layout, report));
-    case Prec::FP32:
-      return AnyMat(convert<float>(src, layout, report));
-    case Prec::FP16:
-      return AnyMat(convert<half>(src, layout, report));
-    case Prec::BF16:
-      return AnyMat(convert<bfloat16>(src, layout, report));
-    case Prec::FP8:
-      return AnyMat(convert<fp8>(src, layout, report));
-  }
-  SMG_CHECK(false, "unknown precision");
+  return build(p, [&]<class T>(std::type_identity<T>) {
+    return convert<T>(src, layout, report);
+  });
 }
 
 void AnyMat::retruncate_from(const StructMat<double>& src, Prec p,

@@ -6,6 +6,7 @@
 // std::visit dispatch.
 #pragma once
 
+#include <type_traits>
 #include <variant>
 
 #include "sgdia/struct_matrix.hpp"
@@ -22,6 +23,25 @@ class AnyMat {
 
   template <class T>
   explicit AnyMat(StructMat<T> m) : m_(std::move(m)) {}
+
+  /// The matrix of precision `p` that `make` returns when called with
+  /// std::type_identity<T> for p's value type T.
+  template <class F>
+  static AnyMat build(Prec p, F&& make) {
+    switch (p) {
+      case Prec::FP64:
+        return AnyMat(make(std::type_identity<double>{}));
+      case Prec::FP32:
+        return AnyMat(make(std::type_identity<float>{}));
+      case Prec::FP16:
+        return AnyMat(make(std::type_identity<half>{}));
+      case Prec::BF16:
+        return AnyMat(make(std::type_identity<bfloat16>{}));
+      case Prec::FP8:
+        return AnyMat(make(std::type_identity<fp8>{}));
+    }
+    SMG_CHECK(false, "unknown precision");
+  }
 
   /// Truncate `src` into the requested precision and layout.
   static AnyMat from(const StructMat<double>& src, Prec p, Layout layout,

@@ -27,7 +27,9 @@
 // per-diagonal loop bounds exclude them.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
@@ -66,20 +68,24 @@ class StructMat {
 
   StructMat() = default;
 
+  /// All values zero: Galerkin products and the problem generators
+  /// accumulate into it and leave out-of-box entries untouched.
   StructMat(Box box, Stencil st, int block_size = 1,
             Layout layout = Layout::SOA)
-      : box_(box),
-        st_(std::move(st)),
-        bs_(block_size),
-        layout_(layout),
-        ncells_(box.size()),
-        block2_(static_cast<std::int64_t>(block_size) * block_size) {
-    SMG_CHECK(block_size >= 1, "block size must be positive");
-    nvals_ = static_cast<std::size_t>(ncells_) * st_.ndiag() * block2_;
-    // kSimdSlack zero-initialized spare elements allow SIMD kernels to issue
-    // full-width loads at the tail of any diagonal run (the excess lanes are
-    // masked out of the computation).
-    vals_.assign(nvals_ + kSimdSlack, T{});
+      : StructMat(NoFill{}, box, std::move(st), block_size, layout) {
+    std::fill(vals_.begin(), vals_.end(), T{});
+  }
+
+  /// A matrix whose values are left unwritten; only the kSimdSlack tail is
+  /// zeroed.  The parallel loop that fills it is then its first touch, so
+  /// no serial pass writes the pages before the threads that produce (and
+  /// later stream) them.  Every value must be written before it is read.
+  static StructMat uninitialized(Box box, Stencil st, int block_size,
+                                 Layout layout) {
+    StructMat m(NoFill{}, box, std::move(st), block_size, layout);
+    std::fill(m.vals_.begin() + static_cast<std::ptrdiff_t>(m.nvals_),
+              m.vals_.end(), T{});
+    return m;
   }
 
   /// Elements of read-safe slack past the logical value array.
@@ -201,6 +207,23 @@ class StructMat {
   T* data() noexcept { return vals_.data(); }
 
  private:
+  struct NoFill {};
+
+  StructMat(NoFill, Box box, Stencil st, int block_size, Layout layout)
+      : box_(box),
+        st_(std::move(st)),
+        bs_(block_size),
+        layout_(layout),
+        ncells_(box.size()),
+        block2_(static_cast<std::int64_t>(block_size) * block_size) {
+    SMG_CHECK(block_size >= 1, "block size must be positive");
+    nvals_ = static_cast<std::size_t>(ncells_) * st_.ndiag() * block2_;
+    // kSimdSlack zero spare elements allow SIMD kernels to issue full-width
+    // loads at the tail of any diagonal run (the excess lanes are masked
+    // out of the computation).  Allocated here without being written.
+    vals_.resize(nvals_ + kSimdSlack);
+  }
+
   Box box_{};
   Stencil st_{};
   int bs_ = 1;
@@ -208,8 +231,22 @@ class StructMat {
   std::int64_t ncells_ = 0;
   std::int64_t block2_ = 1;
   std::size_t nvals_ = 0;
-  avec<T> vals_;
+  uvec<T> vals_;
 };
+
+/// Convert `n` contiguous values; the narrow storage formats add their
+/// truncation events to `rep`.
+template <class Dst, class Src>
+void convert_run(const Src* src, Dst* dst, std::size_t n,
+                 TruncateReport& rep) {
+  if constexpr (is_storage_only_v<Dst>) {
+    rep += truncate<Dst, Src>({src, n}, {dst, n});
+  } else {
+    for (std::size_t q = 0; q < n; ++q) {
+      dst[q] = static_cast<Dst>(static_cast<double>(src[q]));
+    }
+  }
+}
 
 /// Re-convert `a` into the existing matrix `out` (same box, stencil, and
 /// block size; any layout), overwriting its values in place — no allocation.
@@ -225,17 +262,6 @@ void convert_into(const StructMat<Src>& a, StructMat<Dst>& out,
   const Layout layout = out.layout();
   const int bs = a.block_size();
   const std::int64_t block2 = static_cast<std::int64_t>(bs) * bs;
-
-  const auto run = [](const Src* src, Dst* dst, std::size_t n,
-                      TruncateReport& rep) {
-    if constexpr (is_storage_only_v<Dst>) {
-      rep += truncate<Dst, Src>({src, n}, {dst, n});
-    } else {
-      for (std::size_t q = 0; q < n; ++q) {
-        dst[q] = static_cast<Dst>(static_cast<double>(src[q]));
-      }
-    }
-  };
 
   // Both SOA-family layouts are contiguous per (line, diagonal) run of
   // nx * bs^2 values: convert run-wise (per-element block_index would
@@ -256,8 +282,8 @@ void convert_into(const StructMat<Src>& a, StructMat<Dst>& out,
     for (std::int64_t u = 0; u < nunits; ++u) {
       const std::int64_t cell0 = u * cells_per_unit;
       for (int d = 0; d < a.ndiag(); ++d) {
-        run(a.data() + a.block_index(cell0, d),
-            out.data() + out.block_index(cell0, d), unit_len, part);
+        convert_run(a.data() + a.block_index(cell0, d),
+                    out.data() + out.block_index(cell0, d), unit_len, part);
       }
     }
 #pragma omp critical(smg_convert_into)
@@ -273,7 +299,8 @@ void convert_into(const StructMat<Src>& a, StructMat<Dst>& out,
 template <class Dst, class Src>
 StructMat<Dst> convert(const StructMat<Src>& a, Layout layout,
                        TruncateReport* report = nullptr) {
-  StructMat<Dst> out(a.box(), a.stencil(), a.block_size(), layout);
+  auto out = StructMat<Dst>::uninitialized(a.box(), a.stencil(),
+                                            a.block_size(), layout);
   convert_into(a, out, report);
   return out;
 }

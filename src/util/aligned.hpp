@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,10 +47,13 @@ struct AlignedAllocator {
 template <class T>
 using avec = std::vector<T, AlignedAllocator<T>>;
 
-/// AlignedAllocator whose value-less construct() default-initializes, so a
-/// `uvec<T>(n)` of trivial T allocates without writing: each page is first
-/// touched (and placed) by the parallel loop that produces its values,
-/// instead of by a serial zero fill.  Read nothing before writing it.
+/// AlignedAllocator whose value-less construct() writes nothing for
+/// trivially copyable types, so a `uvec<T>(n)` allocates without writing:
+/// each page is first touched (and placed) by the parallel loop that
+/// produces its values, instead of by a serial zero fill.  That includes
+/// the storage formats (half, bfloat16, fp8), whose default member
+/// initializers a default-init would still run.  Read nothing before
+/// writing it.
 template <class T>
 struct UninitAllocator : AlignedAllocator<T> {
   template <class U>
@@ -63,7 +67,9 @@ struct UninitAllocator : AlignedAllocator<T> {
 
   template <class U>
   void construct(U* p) noexcept {
-    ::new (static_cast<void*>(p)) U;
+    if constexpr (!std::is_trivially_copyable_v<U>) {
+      ::new (static_cast<void*>(p)) U;
+    }
   }
   template <class U, class... Args>
   void construct(U* p, Args&&... args) {

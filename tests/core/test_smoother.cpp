@@ -1,6 +1,8 @@
 // Smoother setup tests: diagonal-block inversion.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/smoother.hpp"
 #include "util/rng.hpp"
 
@@ -101,6 +103,15 @@ TEST(SmootherTruncate, Bf16AndFp32Paths) {
   avec<double> d3 = {0.1};
   EXPECT_EQ(truncate_smoother_data(d3, Prec::FP64), 0u);
   EXPECT_EQ(d3[0], 0.1);
+}
+
+TEST(SmootherTruncate, Bf16RoundsOnceFromDouble) {
+  // Through float this value would tie to even at 0x3F82; rounded once
+  // from double it is 0x3F81.
+  avec<double> d = {std::nextafter(0x1.03p0, 0.0)};
+  EXPECT_EQ(truncate_smoother_data(d, Prec::BF16), 0u);
+  EXPECT_EQ(d[0], static_cast<double>(
+                      static_cast<float>(bfloat16::from_bits(0x3F81))));
 }
 
 TEST(SmootherDeath, SingularBlockAborts) {

@@ -1,6 +1,7 @@
 // Tests for batch conversion, truncation reporting, and SIMD widen.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "fp/convert.hpp"
@@ -38,6 +39,33 @@ TEST(Truncate, Bf16NeverOverflowsFromDoubleInFloatRange) {
                                               {dst.data(), dst.size()});
   EXPECT_EQ(rep.overflowed, 0u);
   EXPECT_EQ(rep.underflowed, 0u);
+}
+
+TEST(Truncate, Bf16RoundsOnceFromDouble) {
+  // Just below a bf16 midpoint: through float it lands on the midpoint and
+  // ties to even (0x3F82); rounded once it goes down to 0x3F81.
+  const std::vector<double> src = {std::nextafter(0x1.03p0, 0.0)};
+  std::vector<bfloat16> dst(1);
+  truncate<bfloat16, double>({src.data(), 1}, {dst.data(), 1});
+  EXPECT_EQ(dst[0].bits(), 0x3F81u);
+  EXPECT_EQ(dst[0].bits(), bfloat16(src[0]).bits());
+}
+
+TEST(Truncate, Fp8RoundsOnceFromDouble) {
+  const std::vector<double> src = {0x1.10000090f4847p+3};
+  std::vector<fp8> dst(1);
+  truncate<fp8, double>({src.data(), 1}, {dst.data(), 1});
+  EXPECT_EQ(dst[0].bits(), 0x51u);
+  EXPECT_EQ(dst[0].bits(), fp8(src[0]).bits());
+}
+
+TEST(TruncateDeath, SizeMismatchAborts) {
+  const std::vector<double> src(3, 1.0);
+  std::vector<half> dst(2);
+  const auto run = [&] {
+    truncate<half, double>({src.data(), src.size()}, {dst.data(), dst.size()});
+  };
+  EXPECT_DEATH(run(), "sizes differ");
 }
 
 TEST(Truncate, ReportAccumulation) {
