@@ -178,11 +178,6 @@ SMG_BENCH(fig_many_rhs,
     }
     SolveManyOptions mopts;
     mopts.base = sopts;
-    // Throughput mode: the fused panel reductions (deterministic, but not
-    // bitwise equal to single-RHS histories) are the intended configuration
-    // when solves/sec is the goal; the bitwise-mirroring default pays
-    // per-iteration panel transposes and is exercised by section (d).
-    mopts.fast_reductions = true;
     // Pin the batch width: an ambient SMG_RHS_BATCH would silently chunk
     // the measured panel and fail the gate on a sub-SIMD-width batch.
     mopts.rhs_batch = k;

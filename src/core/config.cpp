@@ -1,13 +1,10 @@
 #include "core/config.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
-#include <optional>
 #include <string>
 
 #include "util/common.hpp"
+#include "util/env.hpp"
 
 namespace smg {
 
@@ -17,29 +14,6 @@ constexpr const char* kLadderSpellings =
     "SMG_STORAGE_LADDER must be auto or a list of fp64, fp32, fp16, bf16 "
     "and fp8 separated by commas, spaces or colons (e.g. fp16,fp8; "
     "case-insensitive)";
-
-/// Every SMG_* override reads its value through this one rule: unset or
-/// empty defers to the config (nullopt); otherwise the value is lower-cased,
-/// so keywords and format names compare case-insensitively.  A value with
-/// leading or trailing whitespace comes back as "", which every parser
-/// rejects as malformed, as it does a blank value.
-std::optional<std::string> env_value(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return std::nullopt;
-  }
-  std::string out = env;
-  const auto space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  if (space(out.front()) || space(out.back())) {
-    return std::string();
-  }
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -199,14 +173,9 @@ int effective_ladder_min_level(const MGConfig& cfg) noexcept {
   if (!env) {
     return cfg.ladder_min_level;
   }
-  char* end = nullptr;
-  const long v = std::strtol(env->c_str(), &end, 10);
-  if (end == env->c_str() || *end != '\0' || v < 0 ||
-      v > std::numeric_limits<int>::max()) {
-    fail("SMG_LADDER_MIN_LEVEL must be a non-negative integer level index",
-         __FILE__, __LINE__);
-  }
-  return static_cast<int>(v);
+  return env_int_at_least(
+      *env, 0,
+      "SMG_LADDER_MIN_LEVEL must be a non-negative integer level index");
 }
 
 MGConfig config_full64() {

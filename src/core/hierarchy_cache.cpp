@@ -1,11 +1,11 @@
 #include "core/hierarchy_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace smg {
@@ -194,13 +194,9 @@ void HierarchyCache::clear() {
 HierarchyCache& HierarchyCache::global() {
   static HierarchyCache* g = [] {
     std::size_t cap = 4;
-    if (const char* env = std::getenv("SMG_HIERARCHY_CACHE");
-        env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && v >= 0) {
-        cap = static_cast<std::size_t>(v);
-      }
+    if (const auto env = env_value("SMG_HIERARCHY_CACHE")) {
+      cap = static_cast<std::size_t>(env_int_at_least(
+          *env, 0, "SMG_HIERARCHY_CACHE must be a non-negative integer"));
     }
     return new HierarchyCache(cap);
   }();

@@ -16,7 +16,7 @@
 // The SMG_HIERARCHY_CACHE environment variable sizes the process-global
 // cache: unset or empty keeps the default capacity (4 setups), a positive
 // integer overrides it, and 0 disables caching (every lookup builds a
-// fresh hierarchy and stores nothing).
+// fresh hierarchy and stores nothing).  Any other value is a fatal error.
 //
 // Sharing note: under PrecisionPolicy::Guarded the runtime governor
 // repairs the hierarchy's stored matrices IN PLACE, so every adapter
@@ -68,7 +68,8 @@ class HierarchyCache {
   void set_eviction_hook(EvictionHook hook);
 
   /// Process-global cache, sized once from SMG_HIERARCHY_CACHE on first
-  /// use (default capacity 4; "0" disables).
+  /// use (default capacity 4; "0" disables; a value that is not a
+  /// non-negative integer aborts).
   static HierarchyCache& global();
 
  private:

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -101,51 +102,86 @@ double dot(std::span<const T> x, std::span<const T> y) noexcept {
   return acc;
 }
 
-/// Deterministic dot product: fixed 4096-element blocks are each summed
-/// with a simd reduction (a fixed order for a given binary), blocks are
-/// combined by a sequential pairwise tree.  The result is independent of
-/// the OpenMP thread count and identical run to run — unlike the plain
-/// `dot`, whose `reduction(+)` combines per-thread partials in
-/// scheduler-dependent order.  Costs one extra pass of block partials
-/// (n/4096 doubles); selected by SolveOptions::deterministic_reductions
-/// (on by default).
+namespace detail {
+
+inline constexpr std::int64_t kDotBlock = 4096;  ///< rows per block partial
+inline constexpr int kDotLanes = 8;              ///< accumulators per column
+
+/// The one deterministic reduction: out[c] = x[:, c] . y[:, c] for the k
+/// real columns of a row-major panel with row stride kp (k = kp = 1 is a
+/// plain vector).  The summation order is explicit and depends only on the
+/// row count:
+///  * rows are cut into fixed kDotBlock-row blocks;
+///  * inside a block, row i (block-relative) feeds lane i % kDotLanes of its
+///    column, one pinned fma per element, tail rows included;
+///  * each block's lanes are combined by one fixed tree,
+///    ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7));
+///  * the block partials are combined by a sequential pairwise tree.
+/// Threads only decide which blocks they sum, so the result is independent
+/// of the OpenMP thread count, and every panel column is bitwise the same
+/// reduction on the extracted column.  A block's rows are one contiguous
+/// run of the panel, so the lanes of all kp columns form one kDotLanes*kp
+/// accumulator row that the run folds into element by element.
 template <class T>
-double dot_deterministic(std::span<const T> x, std::span<const T> y) {
+void dot_panel(const T* SMG_RESTRICT x, const T* SMG_RESTRICT y,
+               std::int64_t rows, int kp, int k, double* out) {
   const obs::KernelSpan span(obs::Kind::Blas1);
-  constexpr std::size_t kBlock = 4096;
-  const std::size_t n = x.size();
-  const std::size_t nblocks = (n + kBlock - 1) / kBlock;
-  if (nblocks <= 1) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-    }
-    return acc;
-  }
+  const std::int64_t nblocks = (rows + kDotBlock - 1) / kDotBlock;
+  const std::int64_t w = std::int64_t{kDotLanes} * kp;
   // Shared across the parallel region below (must NOT be thread_local: the
-  // worker threads all write into this one vector, indexed by block).
-  std::vector<double> partial(nblocks, 0.0);
-#pragma omp parallel for
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t hi = std::min(lo + kBlock, n);
-    double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-    for (std::size_t i = lo; i < hi; ++i) {
-      acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
+  // worker threads all write into this one vector, indexed by block).  One
+  // block's worth at least, so an empty panel reduces to +0.
+  std::vector<double> lanes(
+      static_cast<std::size_t>(std::max<std::int64_t>(nblocks, 1) * w), 0.0);
+#pragma omp parallel for schedule(static) if (nblocks > 1)
+  for (std::int64_t b = 0; b < nblocks; ++b) {
+    const std::int64_t lo = b * kDotBlock * kp;
+    const std::int64_t m = std::min(rows * kp, lo + kDotBlock * kp) - lo;
+    double* SMG_RESTRICT acc = lanes.data() + b * w;
+    for (std::int64_t e0 = 0; e0 < m; e0 += w) {
+      const std::int64_t len = std::min(w, m - e0);
+      const T* SMG_RESTRICT xs = x + lo + e0;
+      const T* SMG_RESTRICT ys = y + lo + e0;
+#pragma omp simd
+      for (std::int64_t j = 0; j < len; ++j) {
+        acc[j] = mul_add(static_cast<double>(xs[j]),
+                         static_cast<double>(ys[j]), acc[j]);
+      }
     }
-    partial[b] = acc;
+    for (int half = kDotLanes / 2; half >= 1; half /= 2) {
+      for (std::int64_t j = 0; j < half * kp; ++j) {
+        acc[j] += acc[j + half * kp];
+      }
+    }
   }
   // Sequential pairwise tree over the per-block sums: fixed combination
   // order regardless of which thread produced which partial.
-  for (std::size_t width = nblocks; width > 1;) {
-    const std::size_t half = (width + 1) / 2;
-    for (std::size_t i = 0; i + half < width; ++i) {
-      partial[i] += partial[i + half];
+  for (std::int64_t width = nblocks; width > 1;) {
+    const std::int64_t half = (width + 1) / 2;
+    for (std::int64_t i = 0; i + half < width; ++i) {
+      for (int c = 0; c < k; ++c) {
+        lanes[static_cast<std::size_t>(i * w + c)] +=
+            lanes[static_cast<std::size_t>((i + half) * w + c)];
+      }
     }
     width = half;
   }
-  return partial[0];
+  std::copy_n(lanes.begin(), k, out);
+}
+
+}  // namespace detail
+
+/// Deterministic dot product: the one-column case of detail::dot_panel.
+/// The result is independent of the OpenMP thread count and identical run
+/// to run — unlike the plain `dot`, whose `reduction(+)` combines
+/// per-thread partials in scheduler-dependent order.  Selected by
+/// SolveOptions::deterministic_reductions (on by default).
+template <class T>
+double dot_deterministic(std::span<const T> x, std::span<const T> y) {
+  double out = 0.0;
+  detail::dot_panel(x.data(), y.data(), static_cast<std::int64_t>(x.size()),
+                    1, 1, &out);
+  return out;
 }
 
 template <class T>
@@ -218,67 +254,17 @@ void xpay_cols(const MultiVector<T>& x, std::span<const T> alpha,
   }
 }
 
-/// Fused one-pass panel dot products: out[c] = x[:, c] . y[:, c] for all
-/// real columns.  Blocked like dot_deterministic (4096-row blocks summed
-/// sequentially, combined by a sequential pairwise tree), so the result is
-/// thread-count independent and deterministic — but NOT bitwise equal to
-/// dot()/dot_deterministic() on the extracted column (different block
-/// geometry).  The batched solver uses this only behind
-/// SolveManyOptions::fast_reductions.
+/// Panel dot products out[c] = x[:, c] . y[:, c] for every real column,
+/// one pass over both panels.  Each column is bitwise dot_deterministic on
+/// the extracted column, at any thread count (detail::dot_panel).
 template <class T>
 void dot_many(const MultiVector<T>& x, const MultiVector<T>& y,
               std::span<double> out) {
-  const obs::KernelSpan span(obs::Kind::Blas1);
-  constexpr std::int64_t kBlock = 4096;
-  const std::int64_t rows = x.rows();
-  const int k = x.cols();
-  const int kp = x.padded_cols();
-  const T* SMG_RESTRICT xp = x.data();
-  const T* SMG_RESTRICT yp = y.data();
-  const std::int64_t nblocks = (rows + kBlock - 1) / kBlock;
-  if (nblocks <= 1) {
-    for (int c = 0; c < k; ++c) {
-      double acc = 0.0;
-      for (std::int64_t i = 0; i < rows; ++i) {
-        acc += static_cast<double>(xp[i * kp + c]) *
-               static_cast<double>(yp[i * kp + c]);
-      }
-      out[static_cast<std::size_t>(c)] = acc;
-    }
-    return;
-  }
-  std::vector<double> partial(static_cast<std::size_t>(nblocks) * k, 0.0);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t b = 0; b < nblocks; ++b) {
-    const std::int64_t lo = b * kBlock;
-    const std::int64_t hi = std::min(lo + kBlock, rows);
-    double* SMG_RESTRICT pb = partial.data() + b * k;
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const T* SMG_RESTRICT xr = xp + i * kp;
-      const T* SMG_RESTRICT yr = yp + i * kp;
-#pragma omp simd
-      for (int c = 0; c < k; ++c) {
-        pb[c] += static_cast<double>(xr[c]) * static_cast<double>(yr[c]);
-      }
-    }
-  }
-  for (std::int64_t width = nblocks; width > 1;) {
-    const std::int64_t half = (width + 1) / 2;
-    for (std::int64_t i = 0; i + half < width; ++i) {
-      double* SMG_RESTRICT dst = partial.data() + i * k;
-      const double* SMG_RESTRICT src = partial.data() + (i + half) * k;
-      for (int c = 0; c < k; ++c) {
-        dst[c] += src[c];
-      }
-    }
-    width = half;
-  }
-  for (int c = 0; c < k; ++c) {
-    out[static_cast<std::size_t>(c)] = partial[static_cast<std::size_t>(c)];
-  }
+  detail::dot_panel(x.data(), y.data(), x.rows(), x.padded_cols(), x.cols(),
+                    out.data());
 }
 
-/// out[c] = ||x[:, c]||_2 via dot_many; same determinism caveat.
+/// out[c] = ||x[:, c]||_2: each column bitwise nrm2_deterministic.
 template <class T>
 void nrm2_many(const MultiVector<T>& x, std::span<double> out) {
   dot_many(x, x, out);

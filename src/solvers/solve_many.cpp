@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "kernels/blas1.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "util/common.hpp"
+#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace smg {
@@ -22,9 +22,8 @@ template <class KT>
 std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
                                      const MultiVector<KT>& B,
                                      MultiVector<KT>& X, PrecondBase<KT>& M,
-                                     const SolveManyOptions& mopts,
+                                     const SolveOptions& opts,
                                      std::uint64_t first_request) {
-  const SolveOptions& opts = mopts.base;
   const int k = B.cols();
   const std::int64_t rows = B.rows();
   const std::size_t n = static_cast<std::size_t>(rows);
@@ -47,37 +46,6 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
   }
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
 
-  // Per-column reductions on extracted contiguous columns: the extracted
-  // column holds the same values in the same order as the single solver's
-  // vector, so dot/nrm2 (and their deterministic variants) return bitwise
-  // identical scalars.  All columns are peeled in ONE row-major pass over
-  // the panel — a per-column strided gather fetches a full cache line per
-  // element and would re-stream the whole panel once per column.
-  avec<KT> colsa(n * static_cast<std::size_t>(k)),
-      colsb(n * static_cast<std::size_t>(k));
-  const auto extract_all = [&](const MultiVector<KT>& V, KT* SMG_RESTRICT dst) {
-    const KT* SMG_RESTRICT s = V.data();
-    const std::size_t kpv = static_cast<std::size_t>(V.padded_cols());
-    for (std::size_t r = 0; r < n; ++r) {
-      const KT* SMG_RESTRICT row = s + r * kpv;
-      for (int c = 0; c < k; ++c) {
-        dst[static_cast<std::size_t>(c) * n + r] = row[c];
-      }
-    }
-  };
-  const auto col_nrm2 = [&](const KT* col) {
-    return opts.deterministic_reductions
-               ? nrm2_deterministic<KT>(std::span<const KT>{col, n})
-               : nrm2<KT>(std::span<const KT>{col, n});
-  };
-  const auto col_dot = [&](const KT* cu, const KT* cv) {
-    return opts.deterministic_reductions
-               ? dot_deterministic<KT>(std::span<const KT>{cu, n},
-                                       std::span<const KT>{cv, n})
-               : dot<KT>(std::span<const KT>{cu, n},
-                         std::span<const KT>{cv, n});
-  };
-
   std::vector<unsigned char> active(static_cast<std::size_t>(k), 1);
   const auto any_active = [&] {
     for (int c = 0; c < k; ++c) {
@@ -88,43 +56,28 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
     return false;
   };
 
+  // Per-column reductions in one pass over the panel: each column of
+  // dot_many/nrm2_many is bitwise dot_deterministic/nrm2_deterministic on
+  // that column, the single solver's default reduction.  Only active
+  // columns' outputs move.
   std::vector<double> redbuf(static_cast<std::size_t>(k));
-  // Fill `out[c]` for active columns with ||V[c]|| / <U[c],V[c]>.  The
-  // fast path runs the fused one-pass panel reduction for all columns at
-  // once; the default path reproduces the single solver bitwise.
-  const auto batch_nrm2 = [&](const MultiVector<KT>& V,
-                              std::vector<double>& out) {
-    if (mopts.fast_reductions) {
-      nrm2_many(V, std::span<double>{redbuf.data(), redbuf.size()});
-    } else {
-      extract_all(V, colsa.data());
-    }
+  const auto keep_active = [&](std::vector<double>& out) {
     for (int c = 0; c < k; ++c) {
       const auto cc = static_cast<std::size_t>(c);
       if (active[cc]) {
-        out[cc] = mopts.fast_reductions
-                      ? redbuf[cc]
-                      : col_nrm2(colsa.data() + static_cast<std::size_t>(c) * n);
+        out[cc] = redbuf[cc];
       }
     }
   };
+  const auto batch_nrm2 = [&](const MultiVector<KT>& V,
+                              std::vector<double>& out) {
+    nrm2_many(V, std::span<double>{redbuf.data(), redbuf.size()});
+    keep_active(out);
+  };
   const auto batch_dot = [&](const MultiVector<KT>& U, const MultiVector<KT>& V,
                              std::vector<double>& out) {
-    if (mopts.fast_reductions) {
-      dot_many(U, V, std::span<double>{redbuf.data(), redbuf.size()});
-    } else {
-      extract_all(U, colsa.data());
-      extract_all(V, colsb.data());
-    }
-    for (int c = 0; c < k; ++c) {
-      const auto cc = static_cast<std::size_t>(c);
-      if (active[cc]) {
-        out[cc] = mopts.fast_reductions
-                      ? redbuf[cc]
-                      : col_dot(colsa.data() + static_cast<std::size_t>(c) * n,
-                                colsb.data() + static_cast<std::size_t>(c) * n);
-      }
-    }
+    dot_many(U, V, std::span<double>{redbuf.data(), redbuf.size()});
+    keep_active(out);
   };
 
   MultiVector<KT> R(rows, k), Z(rows, k), P(rows, k), AP(rows, k);
@@ -393,19 +346,15 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
 // Resolve the effective batch width: explicit option, else SMG_RHS_BATCH,
 // else the whole panel.
 int effective_batch(int rhs_batch, int k) {
-  int batch = rhs_batch;
-  if (batch <= 0) {
-    batch = k;
-    if (const char* env = std::getenv("SMG_RHS_BATCH");
-        env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && v > 0) {
-        batch = static_cast<int>(std::min<long>(v, k));
-      }
-    }
+  if (rhs_batch > 0) {
+    return std::min(rhs_batch, k);
   }
-  return std::min(batch, k);
+  if (const auto env = env_value("SMG_RHS_BATCH")) {
+    return std::min(
+        env_int_at_least(*env, 1, "SMG_RHS_BATCH must be a positive integer"),
+        k);
+  }
+  return k;
 }
 
 }  // namespace
@@ -443,7 +392,7 @@ SolveManyResult solve_many(const LinOpMany<KT>& A, const MultiVector<KT>& B,
     }
   };
   if (batch >= k) {
-    out.columns = batched_pcg(A, B, X, M, opts, first_request);
+    out.columns = batched_pcg(A, B, X, M, opts.base, first_request);
     out.precond_seconds = M.apply_seconds();
     out.batches = 1;
     record_batch(out.columns, timer.seconds());
@@ -464,7 +413,7 @@ SolveManyResult solve_many(const LinOpMany<KT>& A, const MultiVector<KT>& B,
         Xc.insert_col(c, std::span<const KT>{scratch.data(), n});
       }
       std::vector<SolveResult> part = batched_pcg(
-          A, Bc, Xc, M, opts,
+          A, Bc, Xc, M, opts.base,
           first_request + static_cast<std::uint64_t>(c0));
       record_batch(part, batch_timer.seconds());
       for (int c = 0; c < bc; ++c) {

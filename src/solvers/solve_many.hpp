@@ -11,10 +11,11 @@
 // Per-column semantics are EXACTLY the single-RHS pcg() of solvers/cg.cpp:
 //   * each column carries its own alpha/beta/rnorm recurrence scalars,
 //     convergence target, history, and status;
-//   * reductions are computed per column on the extracted contiguous
-//     column with the same dot/nrm2 (or dot_deterministic/
-//     nrm2_deterministic) the single solver uses, so the arithmetic is
-//     bitwise identical — including under deterministic_reductions;
+//   * reductions are the panel dot_many/nrm2_many, whose every column is
+//     bitwise the single solver's dot_deterministic/nrm2_deterministic on
+//     that column, at any thread count.  The panel always reduces
+//     deterministically; with deterministic_reductions = false only the
+//     single solver may take the thread-dependent plain dot;
 //   * a column that converges (or breaks down) FREEZES: the masked panel
 //     updates (kernels/blas1.hpp axpy_cols/xpay_cols) skip it entirely and
 //     its x never moves again, while the remaining columns keep iterating.
@@ -62,14 +63,9 @@ struct SolveManyOptions {
   /// Per-column convergence criteria, iteration budget, reduction mode and
   /// self-healing knobs — the same meanings as the single-RHS solver.
   SolveOptions base;
-  /// Columns per sequential batch; <= 0 consults SMG_RHS_BATCH, and when
-  /// that is unset/invalid the whole panel solves in one batch.
+  /// Columns per sequential batch; <= 0 consults SMG_RHS_BATCH (a positive
+  /// integer), and when that is unset the whole panel solves in one batch.
   int rhs_batch = 0;
-  /// Use the fused one-pass panel reductions (kernels/blas1.hpp dot_many)
-  /// instead of the per-column extracted single-RHS reductions.  Still
-  /// deterministic and thread-count invariant, but NOT bitwise identical
-  /// to single-RHS histories (different reduction block geometry).
-  bool fast_reductions = false;
 };
 
 struct SolveManyResult {

@@ -18,11 +18,12 @@ struct SolveOptions {
   double rtol = 1e-10;       ///< convergence: ||r||_2 / ||b||_2 < rtol
   bool record_history = true;
   int restart = 30;          ///< GMRES restart length m
-  /// Use the fixed-blocking pairwise dot/nrm2 (kernels/blas1.hpp
-  /// dot_deterministic): convergence histories become bitwise identical
-  /// run-to-run and across OpenMP thread counts, at the cost of one extra
-  /// pass over n/4096 block partials per reduction (measured 0.90-1.02x
-  /// the cost of the OpenMP-reduction dot).  On by default.
+  /// Use the fixed-order dot/nrm2 (kernels/blas1.hpp dot_deterministic):
+  /// convergence histories become bitwise identical run-to-run and across
+  /// OpenMP thread counts.  On by default.  `false` permits thread-dependent
+  /// sums but does not require them: the single-RHS solvers then take the
+  /// OpenMP-reduction dot, while solve_many reduces deterministically
+  /// either way.
   bool deterministic_reductions = true;
 
   // --- self-healing feedback (PrecisionPolicy::Guarded only) ---

@@ -1,6 +1,7 @@
 // Setup/apply split tests: hierarchy fingerprinting and the LRU cache.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 
 #include "core/hierarchy_cache.hpp"
@@ -196,6 +197,36 @@ TEST(HierarchyCache, GlobalIsACacheWithDefaultOrEnvCapacity) {
     EXPECT_EQ(h1.get(), h2.get());
     g.clear();
   }
+}
+
+// SMG_HIERARCHY_CACHE sizes the global cache on first use, so each case
+// runs in a fresh child process.  A malformed value is fatal and names the
+// variable and its accepted values; it never falls back to the default.
+class HierarchyCacheEnvDeathTest
+    : public ::testing::TestWithParam<const char*> {
+ protected:
+  void TearDown() override { unsetenv("SMG_HIERARCHY_CACHE"); }
+};
+
+TEST_P(HierarchyCacheEnvDeathTest, RejectsMalformedCapacity) {
+  setenv("SMG_HIERARCHY_CACHE", GetParam(), 1);
+  EXPECT_DEATH(HierarchyCache::global(),
+               "SMG_HIERARCHY_CACHE must be a non-negative integer");
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformed, HierarchyCacheEnvDeathTest,
+                         ::testing::Values("abc", "-2", "3x", " 3", "3 ",
+                                           "1.5"));
+
+TEST(GlobalCacheDeathTest, WellFormedValueSizesTheCache) {
+  for (const char* value : {"0", "7"}) {
+    setenv("SMG_HIERARCHY_CACHE", value, 1);
+    const std::size_t want = static_cast<std::size_t>(std::atoi(value));
+    EXPECT_EXIT(std::exit(HierarchyCache::global().capacity() == want ? 0 : 1),
+                ::testing::ExitedWithCode(0), "")
+        << "SMG_HIERARCHY_CACHE=" << value;
+  }
+  unsetenv("SMG_HIERARCHY_CACHE");
 }
 
 }  // namespace

@@ -468,42 +468,76 @@ TEST(PanelBlas1, MaskedUpdatesSkipFrozenColumnsEntirely) {
       << "frozen column disturbed by xpay_cols";
 }
 
-TEST(PanelBlas1, DotManyAccurateAndThreadCountInvariant) {
-  const std::int64_t n = 20000;  // several 4096-row blocks
-  const int k = 5;
-  MultiVector<float> X(n, k), Y(n, k);
-  std::vector<avec<float>> xs, ys;
+/// dot_many/nrm2_many give the same bits at 1..8 threads as at one thread,
+/// every column is bitwise dot_deterministic/nrm2_deterministic on the
+/// extracted column, and within rounding of a plain sequential sum.
+template <class T>
+void expect_dot_many_is_column_dot(std::int64_t n, int k) {
+  SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k << " T="
+                                  << (std::is_same_v<T, float> ? "f" : "d"));
+  MultiVector<T> X(n, k), Y(n, k);
+  std::vector<avec<T>> xs, ys;
   for (int c = 0; c < k; ++c) {
-    xs.push_back(rand_vec<float>(n, 801 + static_cast<std::uint64_t>(c)));
-    ys.push_back(rand_vec<float>(n, 901 + static_cast<std::uint64_t>(c)));
+    xs.push_back(rand_vec<T>(n, 801 + static_cast<std::uint64_t>(c)));
+    ys.push_back(rand_vec<T>(n, 901 + static_cast<std::uint64_t>(c)));
     X.insert_col(c, {xs.back().data(), xs.back().size()});
     Y.insert_col(c, {ys.back().data(), ys.back().size()});
   }
-  std::vector<double> out(static_cast<std::size_t>(k), 0.0);
-  dot_many<float>(X, Y, {out.data(), out.size()});
-  for (int c = 0; c < k; ++c) {
-    double want = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      want += static_cast<double>(xs[static_cast<std::size_t>(c)]
-                                     [static_cast<std::size_t>(i)]) *
-              static_cast<double>(ys[static_cast<std::size_t>(c)]
-                                     [static_cast<std::size_t>(i)]);
-    }
-    EXPECT_NEAR(out[static_cast<std::size_t>(c)], want,
-                1e-9 * (std::abs(want) + 1.0));
-  }
+  const auto ku = static_cast<std::size_t>(k);
+  std::vector<double> dots(ku), norms(ku), dots1(ku), norms1(ku);
 #if defined(_OPENMP)
   const int saved_threads = omp_get_max_threads();
-  for (int nt = 1; nt <= 8; ++nt) {
+  constexpr int kMaxThreads = 8;
+#else
+  constexpr int kMaxThreads = 1;
+#endif
+  for (int nt = 1; nt <= kMaxThreads; ++nt) {
+#if defined(_OPENMP)
     omp_set_num_threads(nt);
-    std::vector<double> out2(static_cast<std::size_t>(k), 0.0);
-    dot_many<float>(X, Y, {out2.data(), out2.size()});
-    EXPECT_EQ(0, std::memcmp(out.data(), out2.data(),
-                             out.size() * sizeof(double)))
-        << "threads=" << nt;
+#endif
+    dot_many<T>(X, Y, {dots.data(), ku});
+    nrm2_many<T>(X, {norms.data(), ku});
+    if (nt == 1) {
+      dots1 = dots;
+      norms1 = norms;
+    }
+    EXPECT_EQ(0, std::memcmp(dots.data(), dots1.data(), ku * sizeof(double)))
+        << "dot_many threads=" << nt << " vs threads=1";
+    EXPECT_EQ(0, std::memcmp(norms.data(), norms1.data(), ku * sizeof(double)))
+        << "nrm2_many threads=" << nt << " vs threads=1";
+    for (std::size_t c = 0; c < ku; ++c) {
+      const std::span<const T> x{xs[c].data(), xs[c].size()};
+      const std::span<const T> y{ys[c].data(), ys[c].size()};
+      const double want_dot = dot_deterministic<T>(x, y);
+      const double want_norm = nrm2_deterministic<T>(x);
+      EXPECT_EQ(0, std::memcmp(&dots[c], &want_dot, sizeof(double)))
+          << "dot col " << c << " threads=" << nt << ": " << dots[c]
+          << " vs " << want_dot;
+      EXPECT_EQ(0, std::memcmp(&norms[c], &want_norm, sizeof(double)))
+          << "nrm2 col " << c << " threads=" << nt;
+    }
   }
+#if defined(_OPENMP)
   omp_set_num_threads(saved_threads);
 #endif
+  for (std::size_t c = 0; c < ku; ++c) {
+    double want = 0.0;
+    for (std::size_t i = 0; i < xs[c].size(); ++i) {
+      want += static_cast<double>(xs[c][i]) * static_cast<double>(ys[c][i]);
+    }
+    EXPECT_NEAR(dots[c], want, 1e-9 * (std::abs(want) + 1.0)) << "col " << c;
+  }
+}
+
+TEST(PanelBlas1, DotManyAccurateAndThreadCountInvariant) {
+  // Empty, one-row, sub-lane, block-edge and multi-block row counts, at
+  // padded and unpadded widths.
+  for (std::int64_t rows : {0, 1, 7, 4095, 4096, 4097, 20000}) {
+    for (int cols : {1, 3, 5, 8, 16}) {
+      expect_dot_many_is_column_dot<float>(rows, cols);
+      expect_dot_many_is_column_dot<double>(rows, cols);
+    }
+  }
 }
 
 }  // namespace

@@ -148,19 +148,24 @@ TEST(SolveMany, CopiesReproduceSingleAcrossThreadsAndScheduling) {
   // deterministic_reductions + wavefront scheduling: the single solver is
   // thread-count invariant, and the panel must be too — bitwise, at every
   // thread count, k = 5 (a non-power-of-two width exercising padding).
+  // The 24^3 box (13824 rows) spans three full 4096-row reduction blocks
+  // and a tail; the 10^3 box fits in one block.
   SolveOptions opts;
   opts.max_iters = 60;
   opts.deterministic_reductions = true;
   const int saved = omp_get_max_threads();
-  for (SmootherParallel sp :
-       {SmootherParallel::Sequential, SmootherParallel::Wavefront}) {
-    for (int nt : {1, 2, 4, 8}) {
-      omp_set_num_threads(nt);
-      MGConfig cfg = config_d16_setup_scale();
-      cfg.smoother_parallel = sp;
-      SCOPED_TRACE(testing::Message() << "sp=" << to_string(sp)
-                                      << " threads=" << nt);
-      expect_copies_match_single(cfg, 5, opts);
+  for (const Box box : {Box{10, 10, 10}, Box{24, 24, 24}}) {
+    for (SmootherParallel sp :
+         {SmootherParallel::Sequential, SmootherParallel::Wavefront}) {
+      for (int nt : {1, 2, 4, 8}) {
+        omp_set_num_threads(nt);
+        MGConfig cfg = config_d16_setup_scale();
+        cfg.smoother_parallel = sp;
+        SCOPED_TRACE(testing::Message()
+                     << "box=" << box.nx << " sp=" << to_string(sp)
+                     << " threads=" << nt);
+        expect_copies_match_single(cfg, 5, opts, box);
+      }
     }
   }
   omp_set_num_threads(saved);
@@ -273,6 +278,29 @@ TEST(SolveMany, ChunkingAndEnvBatchDoNotChangeHistories) {
   }
 }
 
+// A malformed SMG_RHS_BATCH is fatal and names the variable and its
+// accepted values; it never falls back to the whole panel silently.
+class RhsBatchEnvDeathTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void TearDown() override { unsetenv("SMG_RHS_BATCH"); }
+};
+
+TEST_P(RhsBatchEnvDeathTest, RejectsMalformedBatch) {
+  auto p = make_laplace27(Box{4, 4, 4});
+  const std::size_t n = p.b.size();
+  MultiVector<double> B(static_cast<std::int64_t>(n), 2), X(
+      static_cast<std::int64_t>(n), 2);
+  B.insert_col(0, std::span<const double>{p.b.data(), n});
+  IdentityPrecond<double> M;
+  setenv("SMG_RHS_BATCH", GetParam(), 1);
+  EXPECT_DEATH(solve_many<double>(make_spmv_many_op<double>(p.A), B, X, M),
+               "SMG_RHS_BATCH must be a positive integer");
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformed, RhsBatchEnvDeathTest,
+                         ::testing::Values("abc", "-2", "3x", " 3", "3 ", "0",
+                                           "1.5"));
+
 TEST(SolveMany, AsyncMatchesSync) {
   auto p = make_laplace27(Box{8, 8, 8});
   const StructMat<double> A = p.A;
@@ -332,36 +360,6 @@ TEST(SolveMany, ZeroColumnConvergesImmediatelyOthersProceed) {
   }
   EXPECT_TRUE(many.columns[1].converged);
   EXPECT_GT(many.columns[1].iters, 0);
-}
-
-TEST(SolveMany, FastReductionsStillConverge) {
-  // dot_many/nrm2_many are not bitwise the single reductions, but the
-  // solves must still converge to the same tolerance in a comparable
-  // iteration count.
-  auto p = make_laplace27(Box{10, 10, 10});
-  const StructMat<double> A = p.A;
-  MGConfig cfg = config_d16_setup_scale();
-  cfg.min_coarse_cells = 64;
-  MGHierarchy h(std::move(p.A), cfg);
-  auto M = make_mg_precond<double>(h);
-  const std::size_t n = p.b.size();
-  const int k = 4;
-
-  MultiVector<double> B(static_cast<std::int64_t>(n), k), X(
-      static_cast<std::int64_t>(n), k);
-  for (int c = 0; c < k; ++c) {
-    B.insert_col(c, std::span<const double>{p.b.data(), n});
-  }
-  SolveManyOptions mopts;
-  mopts.base.max_iters = 60;
-  mopts.fast_reductions = true;
-  const SolveManyResult many =
-      solve_many<double>(make_spmv_many_op<double>(A), B, X, *M, mopts);
-  EXPECT_TRUE(many.all_converged());
-  for (const SolveResult& r : many.columns) {
-    EXPECT_LT(r.final_relres, mopts.base.rtol);
-    EXPECT_LE(r.iters, 25);
-  }
 }
 
 /// Self-healing identity with no panel override: exercises both the
