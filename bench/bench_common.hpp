@@ -57,11 +57,10 @@ struct E2EResult {
 
 /// Full workflow: hierarchy setup + preconditioned Krylov solve, timed by
 /// phase exactly as Fig. 8/9 splits them (setup / MG preconditioner / other).
-/// `deterministic` (default on) selects the fixed-blocking pairwise
-/// Krylov dot/nrm2, making histories bitwise reproducible at any OpenMP
-/// thread count (SolveOptions::deterministic_reductions).
+/// The Krylov dot/nrm2 have one fixed summation order, so histories are
+/// bitwise reproducible at any OpenMP thread count.
 inline E2EResult run_e2e(const Problem& p, MGConfig cfg, int max_iters = 400,
-                         double rtol = 1e-9, bool deterministic = true) {
+                         double rtol = 1e-9) {
   E2EResult out;
   StructMat<double> A = p.A;
 
@@ -79,7 +78,6 @@ inline E2EResult run_e2e(const Problem& p, MGConfig cfg, int max_iters = 400,
   SolveOptions opts;
   opts.max_iters = max_iters;
   opts.rtol = rtol;
-  opts.deterministic_reductions = deterministic;
 
   if (p.solver == "cg") {
     out.solve = pcg<double>(op, {p.b.data(), n}, {x.data(), n}, *M, opts);

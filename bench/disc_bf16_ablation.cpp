@@ -55,9 +55,9 @@ SMG_BENCH(disc_bf16_ablation, "Discussion section 8 (BF16 paragraph)",
     MGConfig b16 = f16;
     b16.storage_ladder = {Prec::BF16};
 
-    const auto rf = bench::run_e2e(p, full, 400, 1e-9, true);
-    const auto r16 = bench::run_e2e(p, f16, 400, 1e-9, true);
-    const auto rb = bench::run_e2e(p, b16, 400, 1e-9, true);
+    const auto rf = bench::run_e2e(p, full, 400, 1e-9);
+    const auto r16 = bench::run_e2e(p, f16, 400, 1e-9);
+    const auto rb = bench::run_e2e(p, b16, 400, 1e-9);
 
     StructMat<double> Aref = p.A;
     MGHierarchy href(std::move(Aref), full);

@@ -100,7 +100,6 @@ avec<double> discrete_solution(const Problem& p) {
   SolveOptions opts;
   opts.rtol = 1e-12;
   opts.max_iters = 500;
-  opts.deterministic_reductions = true;
   (void)pcg<double>(op, {p.b.data(), n}, {uh.data(), n}, *M, opts);
   return uh;
 }
@@ -110,7 +109,7 @@ double err_norm(std::span<const double> x, std::span<const double> u) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     d[i] = x[i] - u[i];
   }
-  return nrm2<double>({d.data(), d.size()});
+  return nrm2_deterministic<double>({d.data(), d.size()});
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ SMG_BENCH(disc_level_placement,
       cfg.min_coarse_cells = 64;
       StructMat<double> A = p.A;
       MGHierarchy h(std::move(A), cfg);
-      const auto r = bench::run_e2e(p, cfg, 400, 1e-9, true);
+      const auto r = bench::run_e2e(p, cfg, 400, 1e-9);
       if (cfg.storage_at(0) == Prec::FP32) {
         fp32_bytes = static_cast<double>(h.stored_matrix_bytes());
       }

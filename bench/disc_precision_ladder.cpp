@@ -51,7 +51,6 @@ LadderRun run_ladder(const Problem& p, MGConfig cfg) {
   SolveOptions opts;
   opts.max_iters = 400;
   opts.rtol = 1e-9;
-  opts.deterministic_reductions = true;
   if (p.solver == "cg") {
     out.e2e.solve =
         pcg<double>(op, {p.b.data(), n}, {x.data(), n}, *M, opts);

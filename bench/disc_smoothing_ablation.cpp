@@ -29,8 +29,8 @@ SMG_BENCH(disc_smoothing_ablation,
       mix.min_coarse_cells = 64;
       mix.nu1 = s;
       mix.nu2 = s;
-      const auto rf = bench::run_e2e(p, full, 400, 1e-9, true);
-      const auto rm = bench::run_e2e(p, mix, 400, 1e-9, true);
+      const auto rf = bench::run_e2e(p, full, 400, 1e-9);
+      const auto rm = bench::run_e2e(p, mix, 400, 1e-9);
       const std::string key =
           std::string(name) + "/s" + std::to_string(s) + "/";
       ctx.value(key + "iters_mix16", static_cast<double>(rm.solve.iters),

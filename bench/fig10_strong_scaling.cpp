@@ -37,8 +37,8 @@ SMG_BENCH(fig10_strong_scaling, "Figure 10 (a)-(h)",
     // Measure the iteration counts on the real (host-sized) problem;
     // deterministic reductions make them thread-invariant, so everything
     // derived from them through the analytic model is gateable.
-    const auto rf = bench::run_e2e(p, fullc, 400, 1e-9, true);
-    const auto rm = bench::run_e2e(p, mixc, 400, 1e-9, true);
+    const auto rf = bench::run_e2e(p, fullc, 400, 1e-9);
+    const auto rm = bench::run_e2e(p, mixc, 400, 1e-9);
 
     StructMat<double> A1 = p.A;
     StructMat<double> A2 = p.A;

@@ -28,7 +28,7 @@ SolveResult run(const Problem& p, MGConfig cfg, int iters) {
   cfg.min_coarse_cells = 64;
   // Deterministic reductions: iteration counts become thread-invariant, so
   // they can be hard-gated in BENCH_*.json.
-  return bench::run_e2e(p, cfg, iters, 1e-10, /*deterministic=*/true).solve;
+  return bench::run_e2e(p, cfg, iters, 1e-10).solve;
 }
 
 }  // namespace

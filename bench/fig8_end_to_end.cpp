@@ -72,12 +72,12 @@ SMG_BENCH(fig8_end_to_end, "Figures 8/9 and Table 1 (Ours)",
     // (gateable); the phase timings stay wall-clock.  Warm once (page-in),
     // then best-of-2 (the host is timing-noisy).
     bench::run_e2e(p, full, 5, 1e-2);
-    auto rf = bench::run_e2e(p, full, 400, 1e-9, /*deterministic=*/true);
-    auto rm = bench::run_e2e(p, mix, 400, 1e-9, /*deterministic=*/true);
+    auto rf = bench::run_e2e(p, full, 400, 1e-9);
+    auto rm = bench::run_e2e(p, mix, 400, 1e-9);
     std::vector<double> mix_totals = {rm.total_seconds};
     {
-      const auto rf2 = bench::run_e2e(p, full, 400, 1e-9, true);
-      const auto rm2 = bench::run_e2e(p, mix, 400, 1e-9, true);
+      const auto rf2 = bench::run_e2e(p, full, 400, 1e-9);
+      const auto rm2 = bench::run_e2e(p, mix, 400, 1e-9);
       mix_totals.push_back(rm2.total_seconds);
       if (rf2.total_seconds < rf.total_seconds) {
         rf = rf2;

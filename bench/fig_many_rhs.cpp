@@ -244,10 +244,9 @@ SMG_BENCH(fig_many_rhs,
   SolveOptions iopts;
   iopts.max_iters = 60;
   iopts.rtol = 1e-9;
-  // Bitwise identity needs thread-count-invariant reductions: the plain
-  // dot() combines per-thread partials in scheduler order, so two ulp-equal
-  // solves can diverge in the last bit under OpenMP.
-  iopts.deterministic_reductions = true;
+  // Bitwise identity holds at any thread count: every reduction
+  // (dot_deterministic and its panel form dot_many) has one fixed
+  // summation order.
   avec<double> x1(n, 0.0);
   const SolveResult single_res =
       pcg<double>(op, {p.b.data(), n}, {x1.data(), n}, *M, iopts);

@@ -151,7 +151,7 @@ SMG_BENCH(fig_weak_scaling, "weak scaling via box decomposition (DESIGN §11)",
       cfg.nu2 = 2;
       cfg.decomp = nb;
       cfg.decomp_min_box = min_box;
-      const auto res = bench::run_e2e(p, cfg, 200, 1e-9, true);
+      const auto res = bench::run_e2e(p, cfg, 200, 1e-9);
       iters[static_cast<std::size_t>(i++)] = res.solve.iters;
     }
     std::printf("\nJacobi-PCG iterations: %d (1x1x1) vs %d (2x2x2)\n",

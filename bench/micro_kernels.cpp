@@ -101,7 +101,8 @@ void BM_Dot(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   avec<double> x(n, 1.0), y(n, 2.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dot<double>({x.data(), n}, {y.data(), n}));
+    benchmark::DoNotOptimize(
+        dot_deterministic<double>({x.data(), n}, {y.data(), n}));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 16);

@@ -1,38 +1,13 @@
 #include "core/autopilot.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
 #include "core/mg_hierarchy.hpp"
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 
 namespace smg {
-
-namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  return (end != s && std::isfinite(v)) ? v : fallback;
-}
-
-int env_int(const char* name, int fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  return end != s ? static_cast<int>(v) : fallback;
-}
-
-}  // namespace
 
 FormatRange format_range(Prec p) noexcept {
   switch (p) {
@@ -61,30 +36,44 @@ FormatRange format_range(Prec p) noexcept {
 
 AutopilotThresholds AutopilotThresholds::from_env() {
   AutopilotThresholds t;
-  t.max_ftz_frac = env_double("SMG_AUTOPILOT_FTZ", t.max_ftz_frac);
-  t.max_subnormal_frac =
-      env_double("SMG_AUTOPILOT_SUBNORMAL", t.max_subnormal_frac);
-  t.repair_safety = env_double("SMG_AUTOPILOT_SAFETY", t.repair_safety);
-  t.max_repairs = env_int("SMG_AUTOPILOT_MAX_REPAIRS", t.max_repairs);
+  if (const auto env = env_value("SMG_AUTOPILOT_FTZ")) {
+    t.max_ftz_frac = env_double_in(
+        *env, 0.0, 1.0, "SMG_AUTOPILOT_FTZ must be a fraction in [0, 1]");
+  }
+  if (const auto env = env_value("SMG_AUTOPILOT_SUBNORMAL")) {
+    t.max_subnormal_frac =
+        env_double_in(*env, 0.0, 1.0,
+                      "SMG_AUTOPILOT_SUBNORMAL must be a fraction in [0, 1]");
+  }
+  if (const auto env = env_value("SMG_AUTOPILOT_SAFETY")) {
+    t.repair_safety =
+        env_double_in(*env, std::numeric_limits<double>::denorm_min(), 1.0,
+                      "SMG_AUTOPILOT_SAFETY must be a number in (0, 1]");
+  }
+  if (const auto env = env_value("SMG_AUTOPILOT_MAX_REPAIRS")) {
+    t.max_repairs = env_int_at_least(
+        *env, 0, "SMG_AUTOPILOT_MAX_REPAIRS must be a non-negative integer");
+  }
   return t;
 }
 
 PrecisionPolicy effective_policy(PrecisionPolicy configured) {
-  const char* s = std::getenv("SMG_PRECISION_POLICY");
-  if (s == nullptr) {
+  const auto env = env_value("SMG_PRECISION_POLICY");
+  if (!env) {
     return configured;
   }
-  const std::string_view v(s);
-  if (v == "fixed") {
+  if (*env == "fixed") {
     return PrecisionPolicy::Fixed;
   }
-  if (v == "auto") {
+  if (*env == "auto") {
     return PrecisionPolicy::Auto;
   }
-  if (v == "guarded") {
+  if (*env == "guarded") {
     return PrecisionPolicy::Guarded;
   }
-  return configured;
+  fail("SMG_PRECISION_POLICY must be one of fixed, auto or guarded "
+       "(case-insensitive)",
+       __FILE__, __LINE__);
 }
 
 StorageAnalysis analyze_storage(const StructMat<double>& A, Prec storage) {

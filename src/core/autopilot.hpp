@@ -50,13 +50,15 @@ struct AutopilotThresholds {
   /// Total runtime repairs a governor may perform before giving up.
   int max_repairs = 32;
 
-  /// Defaults overridden by SMG_AUTOPILOT_FTZ, SMG_AUTOPILOT_SUBNORMAL,
-  /// SMG_AUTOPILOT_SAFETY, SMG_AUTOPILOT_MAX_REPAIRS.
+  /// Defaults overridden by SMG_AUTOPILOT_FTZ and SMG_AUTOPILOT_SUBNORMAL
+  /// (fractions in [0, 1]), SMG_AUTOPILOT_SAFETY (in (0, 1]) and
+  /// SMG_AUTOPILOT_MAX_REPAIRS (an integer >= 0); any other value is fatal.
   static AutopilotThresholds from_env();
 };
 
 /// MGConfig::precision_policy, unless SMG_PRECISION_POLICY
-/// (fixed | auto | guarded) overrides it at runtime.
+/// (fixed | auto | guarded, case-insensitive) overrides it at runtime; any
+/// other value is fatal.
 PrecisionPolicy effective_policy(PrecisionPolicy configured);
 
 /// Value-distribution analysis of one level's to-be-truncated matrix against

@@ -88,20 +88,6 @@ void ewise_div(std::span<const T> x, std::span<const T> d,
   }
 }
 
-/// Dot product accumulated in double regardless of T (iterative-precision
-/// safety: FP32 Krylov still needs robust inner products).
-template <class T>
-double dot(std::span<const T> x, std::span<const T> y) noexcept {
-  const obs::KernelSpan span(obs::Kind::Blas1);
-  const std::size_t n = x.size();
-  double acc = 0.0;
-#pragma omp parallel for simd reduction(+ : acc)
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  return acc;
-}
-
 namespace detail {
 
 inline constexpr std::int64_t kDotBlock = 4096;  ///< rows per block partial
@@ -171,22 +157,16 @@ void dot_panel(const T* SMG_RESTRICT x, const T* SMG_RESTRICT y,
 
 }  // namespace detail
 
-/// Deterministic dot product: the one-column case of detail::dot_panel.
-/// The result is independent of the OpenMP thread count and identical run
-/// to run — unlike the plain `dot`, whose `reduction(+)` combines
-/// per-thread partials in scheduler-dependent order.  Selected by
-/// SolveOptions::deterministic_reductions (on by default).
+/// The dot product, accumulated in double regardless of T (iterative-
+/// precision safety: FP32 Krylov still needs robust inner products): the
+/// one-column case of detail::dot_panel, so the result is independent of
+/// the OpenMP thread count and identical run to run.
 template <class T>
 double dot_deterministic(std::span<const T> x, std::span<const T> y) {
   double out = 0.0;
   detail::dot_panel(x.data(), y.data(), static_cast<std::int64_t>(x.size()),
                     1, 1, &out);
   return out;
-}
-
-template <class T>
-double nrm2(std::span<const T> x) noexcept {
-  return std::sqrt(dot(x, x));
 }
 
 template <class T>
@@ -203,9 +183,19 @@ double nrm2_deterministic(std::span<const T> x) {
 // ---------------------------------------------------------------------------
 
 /// y[:, c] += alpha[c] * x[:, c] for every column with active[c] != 0.
+/// One column is the plain contiguous axpy; wider panels make one
+/// row-major pass (a per-column pass over the interleaved panel would
+/// fetch one full cache line per touched element and so re-stream both
+/// panels once per column).
 template <class T>
 void axpy_cols(std::span<const T> alpha, const MultiVector<T>& x,
                MultiVector<T>& y, const unsigned char* active) noexcept {
+  if (y.padded_cols() == 1) {
+    if (active == nullptr || active[0] != 0) {
+      axpy<T>(alpha[0], {x.data(), x.size()}, {y.data(), y.size()});
+    }
+    return;
+  }
   const obs::KernelSpan span(obs::Kind::Blas1);
   const std::int64_t rows = y.rows();
   const int k = y.cols();
@@ -213,9 +203,6 @@ void axpy_cols(std::span<const T> alpha, const MultiVector<T>& x,
   const T* SMG_RESTRICT xp = x.data();
   T* SMG_RESTRICT yp = y.data();
   const T* SMG_RESTRICT al = alpha.data();
-  // Row-major single pass: a per-column pass over the interleaved panel
-  // would fetch one full cache line per touched element and so re-stream
-  // both panels once per column.
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < rows; ++i) {
     const T* SMG_RESTRICT xr = xp + i * kp;
@@ -229,10 +216,17 @@ void axpy_cols(std::span<const T> alpha, const MultiVector<T>& x,
   }
 }
 
-/// y[:, c] = x[:, c] + alpha[c] * y[:, c] for every active column.
+/// y[:, c] = x[:, c] + alpha[c] * y[:, c] for every active column; one
+/// column is the plain contiguous xpay, as in axpy_cols.
 template <class T>
 void xpay_cols(const MultiVector<T>& x, std::span<const T> alpha,
                MultiVector<T>& y, const unsigned char* active) noexcept {
+  if (y.padded_cols() == 1) {
+    if (active == nullptr || active[0] != 0) {
+      xpay<T>({x.data(), x.size()}, alpha[0], {y.data(), y.size()});
+    }
+    return;
+  }
   const obs::KernelSpan span(obs::Kind::Blas1);
   const std::int64_t rows = y.rows();
   const int k = y.cols();
@@ -240,7 +234,6 @@ void xpay_cols(const MultiVector<T>& x, std::span<const T> alpha,
   const T* SMG_RESTRICT xp = x.data();
   T* SMG_RESTRICT yp = y.data();
   const T* SMG_RESTRICT al = alpha.data();
-  // Row-major single pass, as in axpy_cols.
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < rows; ++i) {
     const T* SMG_RESTRICT xr = xp + i * kp;

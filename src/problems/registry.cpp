@@ -173,14 +173,14 @@ double estimate_cond(const StructMat<double>& A, int iters) {
     for (auto& v : V[0]) {
       v = rng.uniform(-1.0, 1.0);
     }
-    const double nrm = nrm2<double>({V[0].data(), n});
+    const double nrm = nrm2_deterministic<double>({V[0].data(), n});
     scal<double>(1.0 / nrm, {V[0].data(), n});
   }
 
   for (int k = 0; k < m; ++k) {
     spmv<double, double>(A, {V.back().data(), n}, {w.data(), n});
     const double a =
-        dot<double>({w.data(), n}, {V.back().data(), n});
+        dot_deterministic<double>({w.data(), n}, {V.back().data(), n});
     alpha.push_back(a);
     axpy<double>(-a, {V.back().data(), n}, {w.data(), n});
     if (k > 0) {
@@ -188,10 +188,11 @@ double estimate_cond(const StructMat<double>& A, int iters) {
     }
     // Full reorthogonalization for numerical reliability.
     for (const auto& v : V) {
-      const double c = dot<double>({w.data(), n}, {v.data(), n});
+      const double c =
+          dot_deterministic<double>({w.data(), n}, {v.data(), n});
       axpy<double>(-c, {v.data(), n}, {w.data(), n});
     }
-    const double b = nrm2<double>({w.data(), n});
+    const double b = nrm2_deterministic<double>({w.data(), n});
     if (b < 1e-14 * std::abs(a) || k == m - 1) {
       break;
     }

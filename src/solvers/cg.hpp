@@ -4,6 +4,11 @@
 // the preconditioner (Alg. 2): the solver merely truncates its residual on
 // the way in and recovers the error correction on the way out, which the
 // PrecondBase adapter performs.
+//
+// pcg() is the one-column case of the library's one PCG recurrence,
+// detail::batched_pcg of solvers/solve_many.hpp, run with the single-vector
+// M.apply (never apply_many).  Its reference is the plain single-RHS
+// recurrence of tests/solvers/pcg_oracle.hpp, which it matches bitwise.
 #pragma once
 
 #include <span>

@@ -45,15 +45,11 @@ FmgResult fmg_solve(const LinOp<KT>& A, std::span<const KT> b,
 
   const obs::InstallGuard obs_guard(M.telemetry());
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
-  const auto vnrm2 = [&opts](std::span<const KT> u) {
-    return opts.deterministic_reductions ? nrm2_deterministic<KT>(u)
-                                         : nrm2<KT>(u);
-  };
 
   const std::size_t n = b.size();
   avec<KT> r(n), e(n), diff(n), good(n);
 
-  const double bnorm = vnrm2(b);
+  const double bnorm = nrm2_deterministic<KT>(b);
   const double scale = bnorm > 0.0 ? bnorm : 1.0;
   const double target = opts.rtol * scale;
   const bool error_stop =
@@ -72,7 +68,8 @@ FmgResult fmg_solve(const LinOp<KT>& A, std::span<const KT> b,
     for (std::size_t i = 0; i < n; ++i) {
       r[i] = b[i] - r[i];
     }
-    const double rnorm = vnrm2(std::span<const KT>{r.data(), n});
+    const double rnorm =
+        nrm2_deterministic<KT>(std::span<const KT>{r.data(), n});
     if (opts.record_history) {
       res.history.push_back(rnorm / scale);
     }
@@ -80,7 +77,8 @@ FmgResult fmg_solve(const LinOp<KT>& A, std::span<const KT> b,
       for (std::size_t i = 0; i < n; ++i) {
         diff[i] = x[i] - opts.u_exact[i];
       }
-      res.final_error = vnrm2(std::span<const KT>{diff.data(), n});
+      res.final_error =
+          nrm2_deterministic<KT>(std::span<const KT>{diff.data(), n});
       if (opts.record_history) {
         res.error_history.push_back(res.final_error);
       }
@@ -147,10 +145,6 @@ FmgResult fmg_solve_many(const LinOp<KT>& A, const MultiVector<KT>& B,
 
   const obs::InstallGuard obs_guard(M.telemetry());
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
-  const auto vnrm2 = [&opts](std::span<const KT> u) {
-    return opts.deterministic_reductions ? nrm2_deterministic<KT>(u)
-                                         : nrm2<KT>(u);
-  };
 
   const std::size_t n = static_cast<std::size_t>(B.rows());
   const int k = B.cols();
@@ -163,7 +157,7 @@ FmgResult fmg_solve_many(const LinOp<KT>& A, const MultiVector<KT>& B,
   std::vector<double> scales(static_cast<std::size_t>(k), 1.0);
   for (int c = 0; c < k; ++c) {
     B.extract_col(c, {bc.data(), n});
-    const double bn = vnrm2({bc.data(), n});
+    const double bn = nrm2_deterministic<KT>({bc.data(), n});
     scales[static_cast<std::size_t>(c)] = bn > 0.0 ? bn : 1.0;
   }
 
@@ -187,14 +181,15 @@ FmgResult fmg_solve_many(const LinOp<KT>& A, const MultiVector<KT>& B,
         rc[i] = bc[i] - rc[i];
       }
       R.insert_col(c, {rc.data(), n});
-      const double rel =
-          vnrm2({rc.data(), n}) / scales[static_cast<std::size_t>(c)];
+      const double rel = nrm2_deterministic<KT>({rc.data(), n}) /
+                         scales[static_cast<std::size_t>(c)];
       worst_rel = std::max(worst_rel, rel);
       if (error_stop) {
         for (std::size_t i = 0; i < n; ++i) {
           diff[i] = xc[i] - opts.u_exact[i];
         }
-        worst_err = std::max(worst_err, vnrm2({diff.data(), n}));
+        worst_err =
+            std::max(worst_err, nrm2_deterministic<KT>({diff.data(), n}));
       }
     }
     res.final_relres = worst_rel;

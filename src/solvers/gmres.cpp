@@ -27,14 +27,6 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     t->note_request(res.request_id);
   }
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
-  const auto vdot = [&opts](std::span<const KT> u, std::span<const KT> v) {
-    return opts.deterministic_reductions ? dot_deterministic<KT>(u, v)
-                                         : dot<KT>(u, v);
-  };
-  const auto vnrm2 = [&opts](std::span<const KT> u) {
-    return opts.deterministic_reductions ? nrm2_deterministic<KT>(u)
-                                         : nrm2<KT>(u);
-  };
 
   const std::size_t n = b.size();
   const int m = opts.restart;
@@ -53,14 +45,14 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   std::vector<double> sn(static_cast<std::size_t>(m), 0.0);
   std::vector<double> g(static_cast<std::size_t>(m) + 1, 0.0);
 
-  const double bnorm = vnrm2(b);
+  const double bnorm = nrm2_deterministic<KT>(b);
   const double scale = bnorm > 0.0 ? bnorm : 1.0;
   const double target = opts.rtol * scale;
 
   // Initial residual into V[0].
   A(x, {w.data(), n});
   sub<KT>(b, {w.data(), n}, {V[0].data(), n});
-  double beta = vnrm2(std::span<const KT>{V[0].data(), n});
+  double beta = nrm2_deterministic<KT>(std::span<const KT>{V[0].data(), n});
   if (opts.record_history) {
     res.history.push_back(beta / scale);
   }
@@ -83,7 +75,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   const auto true_residual = [&] {
     A(x, {w.data(), n});
     sub<KT>(b, {w.data(), n}, {V[0].data(), n});
-    beta = vnrm2(std::span<const KT>{V[0].data(), n});
+    beta = nrm2_deterministic<KT>(std::span<const KT>{V[0].data(), n});
   };
 
   while (res.iters < opts.max_iters) {
@@ -133,16 +125,16 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
 
       // Modified Gram-Schmidt.
       for (int i = 0; i <= j; ++i) {
-        const double h =
-            vdot(std::span<const KT>{w.data(), n},
-                 std::span<const KT>{V[static_cast<std::size_t>(i)].data(),
-                                     n});
+        const double h = dot_deterministic<KT>(
+            std::span<const KT>{w.data(), n},
+            std::span<const KT>{V[static_cast<std::size_t>(i)].data(), n});
         H[static_cast<std::size_t>(j) * (m + 1) + i] = h;
         axpy<KT>(static_cast<KT>(-h),
                  std::span<const KT>{V[static_cast<std::size_t>(i)].data(), n},
                  std::span<KT>{w.data(), n});
       }
-      const double hlast = vnrm2(std::span<const KT>{w.data(), n});
+      const double hlast =
+          nrm2_deterministic<KT>(std::span<const KT>{w.data(), n});
       H[static_cast<std::size_t>(j) * (m + 1) + j + 1] = hlast;
       if (!std::isfinite(hlast)) {
         // Column j is poisoned; columns 0..j-1 are still a valid basis

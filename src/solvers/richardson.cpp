@@ -19,15 +19,11 @@ SolveResult richardson(const LinOp<KT>& A, std::span<const KT> b,
 
   const obs::InstallGuard obs_guard(M.telemetry());
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
-  const auto vnrm2 = [&opts](std::span<const KT> u) {
-    return opts.deterministic_reductions ? nrm2_deterministic<KT>(u)
-                                         : nrm2<KT>(u);
-  };
 
   const std::size_t n = b.size();
   avec<KT> r(n), e(n);
 
-  const double bnorm = vnrm2(b);
+  const double bnorm = nrm2_deterministic<KT>(b);
   const double scale = bnorm > 0.0 ? bnorm : 1.0;
   const double target = opts.rtol * scale;
 
@@ -38,7 +34,7 @@ SolveResult richardson(const LinOp<KT>& A, std::span<const KT> b,
     for (std::size_t i = 0; i < n; ++i) {
       r[i] = b[i] - r[i];
     }
-    rnorm = vnrm2(std::span<const KT>{r.data(), n});
+    rnorm = nrm2_deterministic<KT>(std::span<const KT>{r.data(), n});
     if (opts.record_history) {
       res.history.push_back(rnorm / scale);
     }

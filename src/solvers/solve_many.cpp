@@ -12,20 +12,18 @@
 
 namespace smg {
 
-namespace {
+namespace detail {
 
-// One lockstep batched PCG over every column of B/X.  Mirrors pcg() of
-// cg.cpp step for step; each column's scalars, updates and reductions are
-// the single solver's, computed through masked panel kernels so the
-// matrix-shaped work streams once per iteration for all active columns.
 template <class KT>
 std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
-                                     const MultiVector<KT>& B,
+                                     const LinOpMany<KT>& apply,
+                                     std::span<const KT> B,
                                      MultiVector<KT>& X, PrecondBase<KT>& M,
                                      const SolveOptions& opts,
                                      std::uint64_t first_request) {
-  const int k = B.cols();
-  const std::int64_t rows = B.rows();
+  SMG_CHECK(B.size() == X.size(), "batched_pcg: B/X shape mismatch");
+  const int k = X.cols();
+  const std::int64_t rows = X.rows();
   const std::size_t n = static_cast<std::size_t>(rows);
   std::vector<SolveResult> res(static_cast<std::size_t>(k));
   M.reset_timing();
@@ -58,8 +56,7 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
 
   // Per-column reductions in one pass over the panel: each column of
   // dot_many/nrm2_many is bitwise dot_deterministic/nrm2_deterministic on
-  // that column, the single solver's default reduction.  Only active
-  // columns' outputs move.
+  // that column.  Only active columns' outputs move.
   std::vector<double> redbuf(static_cast<std::size_t>(k));
   const auto keep_active = [&](std::vector<double>& out) {
     for (int c = 0; c < k; ++c) {
@@ -80,17 +77,23 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
     keep_active(out);
   };
 
-  MultiVector<KT> R(rows, k), Z(rows, k), P(rows, k), AP(rows, k);
+  // Z = M^{-1} R and AP = A P are never live at once (AP is last read by
+  // the R update, Z first written by the apply after it), so they share
+  // one panel: with x, the recurrence holds four n-by-k panels.
+  MultiVector<KT> R(rows, k), P(rows, k), W(rows, k);
+  MultiVector<KT>& Z = W;
+  MultiVector<KT>& AP = W;
   const std::size_t nelems = R.size();
   const int kp = R.padded_cols();
 
   const auto copy_panel = [nelems](const MultiVector<KT>& src,
                                    MultiVector<KT>& dst) {
-    const KT* SMG_RESTRICT s = src.data();
-    KT* SMG_RESTRICT d = dst.data();
-    for (std::size_t i = 0; i < nelems; ++i) {
-      d[i] = s[i];
-    }
+    copy_convert<KT, KT>({src.data(), nelems}, {dst.data(), nelems});
+  };
+  // r = b - A x (elementwise over the whole panel: padding 0 - 0 = +0).
+  const auto residual = [&] {
+    A(X, AP);
+    sub<KT>(B, {AP.data(), nelems}, {R.data(), nelems});
   };
   // Sanitize a broken-down column so later panel sweeps (which compute
   // every column, frozen or not) keep streaming finite data.
@@ -108,24 +111,16 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
     zero_col(P, c);
   };
 
-  // r = b - A x (elementwise over the whole panel: padding 0 - 0 = +0).
-  A(X, AP);
-  {
-    const KT* SMG_RESTRICT bp = B.data();
-    const KT* SMG_RESTRICT app = AP.data();
-    KT* SMG_RESTRICT rp = R.data();
-    for (std::size_t i = 0; i < nelems; ++i) {
-      rp[i] = bp[i] - app[i];
-    }
-  }
+  residual();
 
   std::vector<double> bnorm(static_cast<std::size_t>(k)),
       rnorm(static_cast<std::size_t>(k)), rz(static_cast<std::size_t>(k)),
       target(static_cast<std::size_t>(k)), pap(static_cast<std::size_t>(k)),
       rz_new(static_cast<std::size_t>(k));
-  batch_nrm2(B, bnorm);
+  dot_panel(B.data(), B.data(), rows, kp, k, redbuf.data());
   for (int c = 0; c < k; ++c) {
     const auto cc = static_cast<std::size_t>(c);
+    bnorm[cc] = std::sqrt(redbuf[cc]);
     target[cc] = opts.rtol * (bnorm[cc] > 0.0 ? bnorm[cc] : 1.0);
   }
   batch_nrm2(R, rnorm);
@@ -137,12 +132,13 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
     }
   }
 
-  M.apply_many(R, Z);
+  apply(R, Z);
   copy_panel(Z, P);
   batch_dot(R, Z, rz);
 
-  // Self-healing bookkeeping, panel-wide: one repair budget for the whole
-  // batch (the preconditioner is shared state; one repair fixes every
+  // Self-healing bookkeeping (inert, and the iteration stream unchanged,
+  // unless M can repair itself), panel-wide: one repair budget for the
+  // whole batch (the preconditioner is shared state; one repair fixes every
   // column's preconditioner at once).
   const bool healing = M.self_healing();
   int heals_left = healing ? opts.heal_retries : 0;
@@ -154,10 +150,10 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
   std::vector<int> stag_count(static_cast<std::size_t>(k), 0);
   bool stag_active = healing && opts.stagnation_window > 0;
 
-  // Panel recover: restart every active column's recurrence from the last
-  // finite iterate, exactly the single solver's recover but over the
-  // panel.  Columns whose recomputed scalars are still non-finite break
-  // down individually.
+  // Report a health event; on a successful repair restart every active
+  // column's recurrence from the last finite iterate (the Krylov directions
+  // predate the repaired preconditioner and must be discarded).  Columns
+  // whose recomputed scalars are still non-finite break down individually.
   const auto recover = [&](HealthEvent e) {
     if (heals_left <= 0 || !M.report_health(e)) {
       return false;
@@ -166,17 +162,9 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
     if (e == HealthEvent::NonFinite) {
       copy_panel(Xgood, X);
     }
-    A(X, AP);
-    {
-      const KT* SMG_RESTRICT bp = B.data();
-      const KT* SMG_RESTRICT app = AP.data();
-      KT* SMG_RESTRICT rp = R.data();
-      for (std::size_t i = 0; i < nelems; ++i) {
-        rp[i] = bp[i] - app[i];
-      }
-    }
+    residual();
     batch_nrm2(R, rnorm);
-    M.apply_many(R, Z);
+    apply(R, Z);
     copy_panel(Z, P);
     batch_dot(R, Z, rz);
     for (int c = 0; c < k; ++c) {
@@ -257,7 +245,7 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
         freeze_breakdown(c);
       } else if (pap[cc] == 0.0) {
         // Exact Krylov breakdown above tolerance: stop this column, not a
-        // numerical failure (mirrors the single solver).
+        // numerical failure.
         active[cc] = 0;
       }
     }
@@ -317,7 +305,7 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
       break;
     }
 
-    M.apply_many(R, Z);
+    apply(R, Z);
     batch_dot(R, Z, rz_new);
     for (int c = 0; c < k; ++c) {
       const auto cc = static_cast<std::size_t>(c);
@@ -342,6 +330,19 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
   }
   return res;
 }
+
+template std::vector<SolveResult> batched_pcg<double>(
+    const LinOpMany<double>&, const LinOpMany<double>&,
+    std::span<const double>, MultiVector<double>&, PrecondBase<double>&,
+    const SolveOptions&, std::uint64_t);
+template std::vector<SolveResult> batched_pcg<float>(
+    const LinOpMany<float>&, const LinOpMany<float>&,
+    std::span<const float>, MultiVector<float>&, PrecondBase<float>&,
+    const SolveOptions&, std::uint64_t);
+
+}  // namespace detail
+
+namespace {
 
 // Resolve the effective batch width: explicit option, else SMG_RHS_BATCH,
 // else the whole panel.
@@ -391,8 +392,12 @@ SolveManyResult solve_many(const LinOpMany<KT>& A, const MultiVector<KT>& B,
           obs::solve_status_label(r.converged, r.breakdown), r.heals);
     }
   };
+  const LinOpMany<KT> apply = [&M](const MultiVector<KT>& r,
+                                   MultiVector<KT>& e) { M.apply_many(r, e); };
   if (batch >= k) {
-    out.columns = batched_pcg(A, B, X, M, opts.base, first_request);
+    out.columns =
+        detail::batched_pcg(A, apply, std::span<const KT>{B.data(), B.size()},
+                            X, M, opts.base, first_request);
     out.precond_seconds = M.apply_seconds();
     out.batches = 1;
     record_batch(out.columns, timer.seconds());
@@ -412,8 +417,9 @@ SolveManyResult solve_many(const LinOpMany<KT>& A, const MultiVector<KT>& B,
         X.extract_col(c0 + c, ss);
         Xc.insert_col(c, std::span<const KT>{scratch.data(), n});
       }
-      std::vector<SolveResult> part = batched_pcg(
-          A, Bc, Xc, M, opts.base,
+      std::vector<SolveResult> part = detail::batched_pcg(
+          A, apply, std::span<const KT>{Bc.data(), Bc.size()}, Xc, M,
+          opts.base,
           first_request + static_cast<std::uint64_t>(c0));
       record_batch(part, batch_timer.seconds());
       for (int c = 0; c < bc; ++c) {

@@ -1,28 +1,29 @@
-// Batched many-RHS PCG: the throughput-mode driver (ISSUE 6 tentpole).
+// The PCG recurrence (Alg. 2's Krylov driver) and its many-RHS front end.
 //
-// solve_many() runs one lockstep preconditioned-CG recurrence over all k
-// columns of a right-hand-side panel.  Every matrix-shaped operation — the
-// operator SpMV, every smoothing sweep, every transfer inside the MG
-// preconditioner — streams its matrix ONCE for all k columns (the panel
-// kernels of kernels/ and core/transfer.hpp), which is where the
+// detail::batched_pcg is the one preconditioned-CG recurrence of the
+// library: a lockstep recurrence over all k columns of a right-hand-side
+// panel.  solve_many() runs it on the caller's panel with the panel
+// preconditioner (apply_many); pcg() of solvers/cg.hpp runs it on a
+// one-column panel with the single-vector apply.  Every matrix-shaped
+// operation — the operator SpMV, every smoothing sweep, every transfer
+// inside the MG preconditioner — streams its matrix ONCE for all k columns
+// (the panel kernels of kernels/ and core/transfer.hpp), which is where the
 // throughput win comes from: on a memory-bound machine the matrix bytes
 // amortize over k solves (perfmodel/bytes.hpp *_many models).
 //
-// Per-column semantics are EXACTLY the single-RHS pcg() of solvers/cg.cpp:
+// Per column the recurrence is the textbook single-RHS PCG:
 //   * each column carries its own alpha/beta/rnorm recurrence scalars,
 //     convergence target, history, and status;
 //   * reductions are the panel dot_many/nrm2_many, whose every column is
-//     bitwise the single solver's dot_deterministic/nrm2_deterministic on
-//     that column, at any thread count.  The panel always reduces
-//     deterministically; with deterministic_reductions = false only the
-//     single solver may take the thread-dependent plain dot;
+//     bitwise dot_deterministic/nrm2_deterministic on that column, at any
+//     thread count;
 //   * a column that converges (or breaks down) FREEZES: the masked panel
 //     updates (kernels/blas1.hpp axpy_cols/xpay_cols) skip it entirely and
 //     its x never moves again, while the remaining columns keep iterating.
-// Consequently a panel of k copies of one RHS reproduces the single-RHS
-// convergence history bitwise in every column (tests/solvers/
-// test_solve_many.cpp), and distinct RHS columns each behave as if solved
-// alone — just k of them per matrix pass.
+// Consequently every column of a panel — k copies of one RHS or k distinct
+// RHS — is bitwise the single solve of that column, and both pcg() and
+// solve_many() reproduce the reference recurrence of
+// tests/solvers/pcg_oracle.hpp bitwise (tests/solvers/test_solve_many.cpp).
 //
 // SolveManyOptions::rhs_batch (or the SMG_RHS_BATCH environment variable)
 // splits wide panels into sequential batches of at most that many columns,
@@ -34,8 +35,10 @@
 // previous batch's solve.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <future>
+#include <span>
 #include <vector>
 
 #include "kernels/spmv.hpp"
@@ -60,8 +63,8 @@ LinOpMany<KT> make_spmv_many_op(const StructMat<KT>& A) {
 }
 
 struct SolveManyOptions {
-  /// Per-column convergence criteria, iteration budget, reduction mode and
-  /// self-healing knobs — the same meanings as the single-RHS solver.
+  /// Per-column convergence criteria, iteration budget and self-healing
+  /// knobs — the same meanings as the single-RHS solver.
   SolveOptions base;
   /// Columns per sequential batch; <= 0 consults SMG_RHS_BATCH (a positive
   /// integer), and when that is unset the whole panel solves in one batch.
@@ -85,6 +88,33 @@ struct SolveManyResult {
     return !columns.empty();
   }
 };
+
+namespace detail {
+
+/// The PCG recurrence over every column of X: `B` holds the right-hand
+/// sides in X's panel layout (X.size() elements, padding zero), `A` is the
+/// operator and `apply` the preconditioner E = M^{-1} R on panels; `M`
+/// supplies timing, telemetry and self-healing.  Column c gets request ID
+/// first_request + c.  solve_seconds and precond_seconds are left for the
+/// caller to fill.
+template <class KT>
+std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
+                                     const LinOpMany<KT>& apply,
+                                     std::span<const KT> B,
+                                     MultiVector<KT>& X, PrecondBase<KT>& M,
+                                     const SolveOptions& opts,
+                                     std::uint64_t first_request);
+
+extern template std::vector<SolveResult> batched_pcg<double>(
+    const LinOpMany<double>&, const LinOpMany<double>&,
+    std::span<const double>, MultiVector<double>&, PrecondBase<double>&,
+    const SolveOptions&, std::uint64_t);
+extern template std::vector<SolveResult> batched_pcg<float>(
+    const LinOpMany<float>&, const LinOpMany<float>&,
+    std::span<const float>, MultiVector<float>&, PrecondBase<float>&,
+    const SolveOptions&, std::uint64_t);
+
+}  // namespace detail
 
 /// Solve A X[c] = B[c] for every column.  X holds the initial guesses on
 /// entry (padding columns of B and X must be zero, as MultiVector

@@ -18,12 +18,11 @@ struct SolveOptions {
   double rtol = 1e-10;       ///< convergence: ||r||_2 / ||b||_2 < rtol
   bool record_history = true;
   int restart = 30;          ///< GMRES restart length m
-  /// Use the fixed-order dot/nrm2 (kernels/blas1.hpp dot_deterministic):
-  /// convergence histories become bitwise identical run-to-run and across
-  /// OpenMP thread counts.  On by default.  `false` permits thread-dependent
-  /// sums but does not require them: the single-RHS solvers then take the
-  /// OpenMP-reduction dot, while solve_many reduces deterministically
-  /// either way.
+  /// No effect: every solver reduces with the one fixed-order dot
+  /// (kernels/blas1.hpp dot_deterministic), so convergence histories are
+  /// bitwise identical run-to-run and across OpenMP thread counts.  Kept
+  /// only because perfbench (perfbench/src/workloads.cpp) still assigns
+  /// it; it goes with the next change to the benchmark.
   bool deterministic_reductions = true;
 
   // --- self-healing feedback (PrecisionPolicy::Guarded only) ---

@@ -48,4 +48,18 @@ inline int env_int_at_least(const std::string& value, int min,
   return static_cast<int>(v);
 }
 
+/// The finite decimal number an env_value spells, which must lie in
+/// [lo, hi] (an open bound is the next representable value); any other
+/// spelling (a trailing character, a blank, NaN, an infinity) fails with
+/// `spelling`, which names the variable and its accepted values.
+inline double env_double_in(const std::string& value, double lo, double hi,
+                            const char* spelling) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || !(v >= lo && v <= hi)) {
+    fail(spelling, __FILE__, __LINE__);
+  }
+  return v;
+}
+
 }  // namespace smg

@@ -62,17 +62,24 @@ class MultiVector {
   MultiVector(std::int64_t rows, int cols) { resize(rows, cols); }
 
   /// Resize to rows x cols, zero-filling everything (padding included).
+  /// The fill is the storage's first touch, split across threads like the
+  /// row-parallel kernels that stream the panel.
   void resize(std::int64_t rows, int cols) {
     SMG_CHECK(rows >= 0 && cols >= 1, "MultiVector: bad shape");
     rows_ = rows;
     cols_ = cols;
     kpad_ = detail::panel_padded_cols(cols);
-    data_.assign(static_cast<std::size_t>(rows_) * kpad_, T{});
+    data_.clear();
+    data_.resize(static_cast<std::size_t>(rows_) * kpad_);
+    fill(T{});
   }
 
   void fill(T v) {
-    for (auto& e : data_) {
-      e = v;
+    T* SMG_RESTRICT d = data_.data();
+    const std::size_t n = data_.size();
+#pragma omp parallel for simd schedule(static)
+    for (std::size_t i = 0; i < n; ++i) {
+      d[i] = v;
     }
   }
 
@@ -121,7 +128,7 @@ class MultiVector {
   std::int64_t rows_ = 0;
   int cols_ = 0;
   int kpad_ = 0;
-  avec<T> data_;
+  uvec<T> data_;
 };
 
 }  // namespace smg

@@ -39,8 +39,8 @@ double true_relres(const StructMat<double>& A, std::span<const double> b,
                    std::span<const double> x) {
   avec<double> r(b.size());
   residual<double, double>(A, b, x, {r.data(), r.size()});
-  return nrm2<double>(std::span<const double>{r.data(), r.size()}) /
-         nrm2<double>(b);
+  return nrm2_deterministic<double>({r.data(), r.size()}) /
+         nrm2_deterministic<double>(b);
 }
 
 /// Count log entries matching (trigger, action).
@@ -71,11 +71,28 @@ TEST(Autopilot, EffectivePolicyHonorsEnvOverride) {
   setenv("SMG_PRECISION_POLICY", "fixed", 1);
   EXPECT_EQ(effective_policy(PrecisionPolicy::Guarded),
             PrecisionPolicy::Fixed);
-  // Unknown values fall back to the configured policy.
-  setenv("SMG_PRECISION_POLICY", "bogus", 1);
-  EXPECT_EQ(effective_policy(PrecisionPolicy::Auto), PrecisionPolicy::Auto);
+  setenv("SMG_PRECISION_POLICY", "Guarded", 1);  // case-insensitive
+  EXPECT_EQ(effective_policy(PrecisionPolicy::Fixed),
+            PrecisionPolicy::Guarded);
   unsetenv("SMG_PRECISION_POLICY");
 }
+
+// A malformed SMG_PRECISION_POLICY is fatal and names the variable and its
+// accepted values; it never keeps the configured policy silently.
+class PolicyEnvDeathTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void TearDown() override { unsetenv("SMG_PRECISION_POLICY"); }
+};
+
+TEST_P(PolicyEnvDeathTest, RejectsMalformedPolicy) {
+  setenv("SMG_PRECISION_POLICY", GetParam(), 1);
+  EXPECT_DEATH(effective_policy(PrecisionPolicy::Auto),
+               "SMG_PRECISION_POLICY must be one of fixed, auto or guarded");
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformed, PolicyEnvDeathTest,
+                         ::testing::Values("bogus", "fix", " auto", "auto ",
+                                           "guarded2"));
 
 TEST(Autopilot, ThresholdsFromEnv) {
   unsetenv("SMG_AUTOPILOT_FTZ");
@@ -95,15 +112,66 @@ TEST(Autopilot, ThresholdsFromEnv) {
   EXPECT_EQ(t.max_subnormal_frac, 0.75);
   EXPECT_EQ(t.repair_safety, 0.125);
   EXPECT_EQ(t.max_repairs, 3);
-  // Garbage values fall back to the defaults.
-  setenv("SMG_AUTOPILOT_FTZ", "not-a-number", 1);
-  EXPECT_EQ(AutopilotThresholds::from_env().max_ftz_frac,
-            AutopilotThresholds{}.max_ftz_frac);
+  // The range ends are accepted: [0, 1] fractions, safety 1, zero repairs.
+  setenv("SMG_AUTOPILOT_FTZ", "0", 1);
+  setenv("SMG_AUTOPILOT_SUBNORMAL", "1", 1);
+  setenv("SMG_AUTOPILOT_SAFETY", "1", 1);
+  setenv("SMG_AUTOPILOT_MAX_REPAIRS", "0", 1);
+  const AutopilotThresholds ends = AutopilotThresholds::from_env();
+  EXPECT_EQ(ends.max_ftz_frac, 0.0);
+  EXPECT_EQ(ends.max_subnormal_frac, 1.0);
+  EXPECT_EQ(ends.repair_safety, 1.0);
+  EXPECT_EQ(ends.max_repairs, 0);
   unsetenv("SMG_AUTOPILOT_FTZ");
   unsetenv("SMG_AUTOPILOT_SUBNORMAL");
   unsetenv("SMG_AUTOPILOT_SAFETY");
   unsetenv("SMG_AUTOPILOT_MAX_REPAIRS");
 }
+
+// A malformed or out-of-range SMG_AUTOPILOT_* value is fatal and names the
+// variable and its accepted values; it never falls back to the default.
+struct ThresholdCase {
+  const char* name;
+  const char* value;
+  const char* message;
+};
+
+class ThresholdEnvDeathTest : public ::testing::TestWithParam<ThresholdCase> {
+ protected:
+  void TearDown() override { unsetenv(GetParam().name); }
+};
+
+TEST_P(ThresholdEnvDeathTest, RejectsMalformedThreshold) {
+  setenv(GetParam().name, GetParam().value, 1);
+  EXPECT_DEATH(AutopilotThresholds::from_env(), GetParam().message);
+}
+
+constexpr const char* kFtz =
+    "SMG_AUTOPILOT_FTZ must be a fraction in \\[0, 1\\]";
+constexpr const char* kSub =
+    "SMG_AUTOPILOT_SUBNORMAL must be a fraction in \\[0, 1\\]";
+constexpr const char* kSafety =
+    "SMG_AUTOPILOT_SAFETY must be a number in \\(0, 1\\]";
+constexpr const char* kRepairs =
+    "SMG_AUTOPILOT_MAX_REPAIRS must be a non-negative integer";
+
+INSTANTIATE_TEST_SUITE_P(
+    Malformed, ThresholdEnvDeathTest,
+    ::testing::Values(ThresholdCase{"SMG_AUTOPILOT_FTZ", "abc", kFtz},
+                      ThresholdCase{"SMG_AUTOPILOT_FTZ", "not-a-number", kFtz},
+                      ThresholdCase{"SMG_AUTOPILOT_FTZ", "1.5", kFtz},
+                      ThresholdCase{"SMG_AUTOPILOT_FTZ", "nan", kFtz},
+                      ThresholdCase{"SMG_AUTOPILOT_SUBNORMAL", "-0.1", kSub},
+                      ThresholdCase{"SMG_AUTOPILOT_SUBNORMAL", "0.5x", kSub},
+                      ThresholdCase{"SMG_AUTOPILOT_SAFETY", "-5", kSafety},
+                      ThresholdCase{"SMG_AUTOPILOT_SAFETY", "0", kSafety},
+                      ThresholdCase{"SMG_AUTOPILOT_SAFETY", "inf", kSafety},
+                      ThresholdCase{"SMG_AUTOPILOT_MAX_REPAIRS", "3x",
+                                    kRepairs},
+                      ThresholdCase{"SMG_AUTOPILOT_MAX_REPAIRS", "-1",
+                                    kRepairs},
+                      ThresholdCase{"SMG_AUTOPILOT_MAX_REPAIRS", " 3",
+                                    kRepairs}));
 
 // ---- storage analysis ------------------------------------------------------
 

@@ -306,7 +306,7 @@ double fcycle_error_ratio(const MGConfig& base, const Box& box,
   for (std::size_t i = 0; i < n; ++i) {
     diff[i] = uh[i] - ustar[i];
   }
-  const double disc = nrm2<double>({diff.data(), n});
+  const double disc = nrm2_deterministic<double>({diff.data(), n});
   EXPECT_GT(disc, 0.0);
 
   MGConfig cfg = base;
@@ -323,7 +323,7 @@ double fcycle_error_ratio(const MGConfig& base, const Box& box,
   for (std::size_t i = 0; i < n; ++i) {
     diff[i] = x[i] - ustar[i];
   }
-  return nrm2<double>({diff.data(), n}) / disc;
+  return nrm2_deterministic<double>({diff.data(), n}) / disc;
 }
 
 TEST(FCycle, OneCycleReachesDiscretizationErrorFP64) {

@@ -155,7 +155,6 @@ TEST(DecompEngine, PcgHistoryIdenticalUnderDeterministicReductions) {
   };
   SolveOptions opts;
   opts.max_iters = 40;
-  opts.deterministic_reductions = true;
   avec<double> xa(n, 0.0), xb(n, 0.0);
   const auto ra = pcg<double>(op, {pa.b.data(), n}, {xa.data(), n}, *Ma, opts);
   const auto rb = pcg<double>(op, {pb.b.data(), n}, {xb.data(), n}, *Mb, opts);
@@ -177,13 +176,13 @@ TEST(DecompEngine, DecomposedSymGSStillContracts) {
   const std::size_t n = static_cast<std::size_t>(A.nrows());
   avec<double> x(n, 0.0), b(n, 1.0), r(n), e(n);
   residual<double, double>(A, {b.data(), n}, {x.data(), n}, {r.data(), n});
-  const double r0 = nrm2<double>({r.data(), n});
+  const double r0 = nrm2_deterministic<double>({r.data(), n});
   for (int it = 0; it < 6; ++it) {
     M->apply({r.data(), n}, {e.data(), n});
     axpy<double>(1.0, {e.data(), n}, {x.data(), n});
     residual<double, double>(A, {b.data(), n}, {x.data(), n}, {r.data(), n});
   }
-  EXPECT_LT(nrm2<double>({r.data(), n}) / r0, 1e-2);
+  EXPECT_LT(nrm2_deterministic<double>({r.data(), n}) / r0, 1e-2);
 }
 
 TEST(DecompEngine, DecomposedSymGSConvergesOnScaledFp16Levels) {

@@ -45,10 +45,6 @@ SolveOutcome solve_outcome(const Problem& p, MGConfig cfg,
   SolveOptions opts;
   opts.max_iters = max_iters;
   opts.rtol = 1e-8;
-  // Fixed reduction order: iteration counts are thread-count independent
-  // and two runs of one numerical configuration are bit-reproducible (the
-  // bitwise assertions below depend on it).
-  opts.deterministic_reductions = true;
   if (p.solver == "cg") {
     out.res = pcg<double>(op_of(p.A), {p.b.data(), n}, {out.x.data(), n}, *M,
                           opts);

@@ -20,13 +20,13 @@ double stationary_reduction(const StructMat<double>& A,
   const std::size_t n = static_cast<std::size_t>(A.nrows());
   avec<double> x(n, 0.0), b(n, 1.0), r(n), e(n);
   residual<double, double>(A, {b.data(), n}, {x.data(), n}, {r.data(), n});
-  const double r0 = nrm2<double>({r.data(), n});
+  const double r0 = nrm2_deterministic<double>({r.data(), n});
   for (int it = 0; it < iters; ++it) {
     M.apply({r.data(), n}, {e.data(), n});
     axpy<double>(1.0, {e.data(), n}, {x.data(), n});
     residual<double, double>(A, {b.data(), n}, {x.data(), n}, {r.data(), n});
   }
-  return nrm2<double>({r.data(), n}) / r0;
+  return nrm2_deterministic<double>({r.data(), n}) / r0;
 }
 
 MGConfig small(MGConfig cfg) {

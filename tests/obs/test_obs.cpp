@@ -31,8 +31,7 @@ LinOp<double> op_of(const StructMat<double>& A) {
   };
 }
 
-SolveResult solve_with(const Problem& p, MGConfig cfg,
-                       bool deterministic = true, int max_iters = 120,
+SolveResult solve_with(const Problem& p, MGConfig cfg, int max_iters = 120,
                        double rtol = 1e-8) {
   cfg.min_coarse_cells = 64;
   StructMat<double> A = p.A;  // keep p reusable
@@ -43,7 +42,6 @@ SolveResult solve_with(const Problem& p, MGConfig cfg,
   SolveOptions opts;
   opts.max_iters = max_iters;
   opts.rtol = rtol;
-  opts.deterministic_reductions = deterministic;
   return pcg<double>(op_of(p.A), {p.b.data(), n}, {x.data(), n}, *M, opts);
 }
 
@@ -175,14 +173,14 @@ TEST(TelemetrySpans, CountsExactPerVCycleApply) {
 }
 
 TEST(TelemetrySpans, NestedKernelSpansDoNotDoubleCount) {
-  // nrm2 calls dot internally; the depth guard must record exactly one
-  // Blas1 span per nrm2 dispatch.
+  // nrm2 calls dot internally; exactly one Blas1 span must be recorded
+  // per nrm2 dispatch.
   obs::Telemetry t(obs::TelemetryLevel::Counters, 1);
   const obs::InstallGuard guard(&t);
   avec<double> v(100, 1.0);
-  (void)nrm2<double>({v.data(), v.size()});
+  (void)nrm2_deterministic<double>({v.data(), v.size()});
   EXPECT_EQ(t.total(obs::Kind::Blas1).calls, 1u);
-  (void)dot<double>({v.data(), v.size()}, {v.data(), v.size()});
+  (void)dot_deterministic<double>({v.data(), v.size()}, {v.data(), v.size()});
   EXPECT_EQ(t.total(obs::Kind::Blas1).calls, 2u);
 }
 
@@ -475,8 +473,7 @@ TEST(DeterministicDot, InvariantAcrossThreadCounts) {
   const std::size_t n = 40000;
   avec<double> x(n), y(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Spread magnitudes and signs so summation order matters for the plain
-    // OpenMP reduction.
+    // Spread magnitudes and signs so summation order matters.
     x[i] = (static_cast<double>(i % 7) + 1.0) * 1e-3 *
            ((i % 2 == 0) ? 1.0 : -1.0) * (1.0 + static_cast<double>(i % 97));
     y[i] = 1.0 / (1.0 + static_cast<double>(i % 31));
@@ -497,8 +494,11 @@ TEST(DeterministicDot, InvariantAcrossThreadCounts) {
 #else
   const double d1 = dot_deterministic(xs, ys);
 #endif
-  // Agrees with the plain reduction to rounding.
-  const double ref = dot(xs, ys);
+  // Agrees with a sequential sum to rounding.
+  double ref = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ref += x[i] * y[i];
+  }
   EXPECT_NEAR(d1, ref, 1e-9 * (std::abs(ref) + 1.0));
   EXPECT_EQ(nrm2_deterministic(xs), std::sqrt(dot_deterministic(xs, xs)));
 }
@@ -510,12 +510,12 @@ TEST(DeterministicDot, SmallVectorsAndEmpty) {
 }
 
 TEST(DeterministicDot, SolverHistoriesReproducible) {
-  // Two runs of the same multi-threaded solve with deterministic reductions
-  // produce bitwise-identical histories.
+  // Two runs of the same multi-threaded solve produce bitwise-identical
+  // histories.
   const Problem p = make_problem("laplace27", Box{12, 12, 10});
   const MGConfig cfg = config_d16_setup_scale();
-  const auto a = solve_with(p, cfg, /*deterministic=*/true);
-  const auto b = solve_with(p, cfg, /*deterministic=*/true);
+  const auto a = solve_with(p, cfg);
+  const auto b = solve_with(p, cfg);
   ASSERT_TRUE(a.converged);
   EXPECT_EQ(a.iters, b.iters);
   EXPECT_EQ(a.final_relres, b.final_relres);

@@ -2,8 +2,12 @@
 // numerical features Table 3 documents for its real-world counterpart.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iomanip>
 
 #include "core/scaling.hpp"
 #include "fp/half.hpp"
@@ -157,6 +161,25 @@ TEST(Problems, CondEstimateOrdersLaplaceVsRhd) {
   EXPECT_GT(c_lap, 1.0);
   // Table 3: laplace27 ~3e3 vs rhd ~1e8 (our estimates need only the order).
   EXPECT_GT(c_rhd, 10.0 * c_lap);
+}
+
+TEST(Problems, CondEstimateIsThreadCountInvariant) {
+  // The Lanczos recurrence reduces with the fixed-order dot, so its Ritz
+  // values (and the estimate) are bitwise equal at any thread count.  The
+  // 32^3 box spans eight 4096-row reduction blocks, so 1 and 4 threads sum
+  // different blocks.
+  const int saved = omp_get_max_threads();
+  for (const char* name : {"laplace27", "rhd"}) {
+    const Problem p = make_problem(name, Box{32, 32, 32});
+    omp_set_num_threads(1);
+    const double c1 = estimate_cond(p.A);
+    omp_set_num_threads(4);
+    const double c4 = estimate_cond(p.A);
+    EXPECT_EQ(std::memcmp(&c1, &c4, sizeof(double)), 0)
+        << name << ": " << std::setprecision(17) << c1 << " at 1 thread vs "
+        << c4 << " at 4";
+  }
+  omp_set_num_threads(saved);
 }
 
 TEST(Problems, ValueMagnitudesSkipZeros) {

@@ -1,11 +1,12 @@
-// Batched many-RHS solver tests.
+// PCG recurrence tests: pcg() and the batched many-RHS solve_many().
 //
-// The load-bearing contract: solve_many() with k copies of one RHS
-// reproduces the single-RHS pcg() bitwise in EVERY column — iterate,
-// history, iteration count, status — across matrix layouts, storage
-// precisions, smoother scheduling, and OpenMP thread counts (with
-// deterministic_reductions, across thread counts too).  Plus the
-// driver-level behaviors: distinct columns match their own single solves,
+// The load-bearing contract: pcg() (the one-column panel recurrence) and
+// solve_many() with k copies of one RHS both reproduce the reference
+// single-RHS recurrence of pcg_oracle.hpp bitwise in EVERY column —
+// iterate, history, iteration count, status, heals — across matrix
+// layouts, storage precisions, smoother scheduling, and OpenMP thread
+// counts.  Plus the driver-level behaviors: distinct columns match their
+// own single solves,
 // batching/chunking and async change nothing, masks freeze converged
 // columns, and the default PrecondBase::apply_many fallback works for
 // preconditioners without a panel path.
@@ -16,11 +17,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "core/mg_precond.hpp"
 #include "kernels/blas1.hpp"
 #include "kernels/spmv.hpp"
+#include "pcg_oracle.hpp"
 #include "problems/problem.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/solve_many.hpp"
@@ -81,11 +84,12 @@ LinOp<double> op_of(const StructMat<double>& A) {
   return ::testing::AssertionSuccess();
 }
 
-/// Run single-RHS pcg and k-copy solve_many on one hierarchy; assert every
-/// column is the single solve, bitwise.
+/// Run the reference recurrence, pcg() and k-copy solve_many on one
+/// hierarchy; assert pcg() and every column are the reference, bitwise.
 void expect_copies_match_single(MGConfig cfg, int k, const SolveOptions& opts,
-                                Box box = Box{10, 10, 10}) {
-  auto p = make_laplace27(box);
+                                Box box = Box{10, 10, 10},
+                                std::string_view problem = "laplace27") {
+  auto p = make_problem(problem, box);
   const StructMat<double> A = p.A;
   cfg.min_coarse_cells = 64;
   MGHierarchy h(std::move(p.A), cfg);
@@ -94,8 +98,14 @@ void expect_copies_match_single(MGConfig cfg, int k, const SolveOptions& opts,
 
   avec<double> x1(n, 0.0);
   const SolveResult single =
-      pcg<double>(op_of(A), {p.b.data(), n}, {x1.data(), n}, *M, opts);
+      oracle::pcg<double>(op_of(A), {p.b.data(), n}, {x1.data(), n}, *M, opts);
   ASSERT_TRUE(single.converged) << single.status();
+
+  avec<double> x0(n, 0.0);
+  const SolveResult one =
+      pcg<double>(op_of(A), {p.b.data(), n}, {x0.data(), n}, *M, opts);
+  EXPECT_TRUE(result_matches(one, single, 0));
+  EXPECT_EQ(std::memcmp(x0.data(), x1.data(), n * sizeof(double)), 0);
 
   MultiVector<double> B(static_cast<std::int64_t>(n), k), X(
       static_cast<std::int64_t>(n), k);
@@ -145,14 +155,13 @@ TEST(SolveMany, CopiesReproduceSingleHistoryAcrossStorageAndLayout) {
 }
 
 TEST(SolveMany, CopiesReproduceSingleAcrossThreadsAndScheduling) {
-  // deterministic_reductions + wavefront scheduling: the single solver is
-  // thread-count invariant, and the panel must be too — bitwise, at every
-  // thread count, k = 5 (a non-power-of-two width exercising padding).
-  // The 24^3 box (13824 rows) spans three full 4096-row reduction blocks
-  // and a tail; the 10^3 box fits in one block.
+  // Fixed-order reductions + wavefront scheduling: the reference is
+  // thread-count invariant, and pcg() and the panel must be too — bitwise,
+  // at every thread count, k = 5 (a non-power-of-two width exercising
+  // padding).  The 24^3 box (13824 rows) spans three full 4096-row
+  // reduction blocks and a tail; the 10^3 box fits in one block.
   SolveOptions opts;
   opts.max_iters = 60;
-  opts.deterministic_reductions = true;
   const int saved = omp_get_max_threads();
   for (const Box box : {Box{10, 10, 10}, Box{24, 24, 24}}) {
     for (SmootherParallel sp :
@@ -169,6 +178,22 @@ TEST(SolveMany, CopiesReproduceSingleAcrossThreadsAndScheduling) {
     }
   }
   omp_set_num_threads(saved);
+}
+
+TEST(SolveMany, CopiesReproduceSingleAcrossProblems) {
+  // The CG problems of the paper's suite, FP16 setup-scale and Full64:
+  // pcg() (k = 1) and a k = 2 panel are the reference, bitwise.
+  SolveOptions opts;
+  opts.max_iters = 200;
+  opts.rtol = 1e-8;
+  for (const char* name : {"laplace27", "laplace27e8", "rhd", "solid3d"}) {
+    for (const bool fp16 : {true, false}) {
+      SCOPED_TRACE(testing::Message() << name << (fp16 ? " fp16" : " fp64"));
+      expect_copies_match_single(
+          fp16 ? config_d16_setup_scale() : config_full64(), 2, opts,
+          Box{24, 24, 24}, name);
+    }
+  }
 }
 
 TEST(SolveMany, DistinctColumnsMatchTheirOwnSingleSolves) {
@@ -387,9 +412,9 @@ class SelfHealingIdentity final : public PrecondBase<double> {
 };
 
 TEST(SolveMany, PanelRecoverMatchesSingleSolverHealing) {
-  // First preconditioner apply poisoned; the panel driver reports one
-  // health event, restarts every column from the last finite iterate, and
-  // each column reproduces the healed single solve bitwise (the fallback
+  // First preconditioner apply poisoned; pcg() and the panel driver report
+  // one health event, restart every column from the last finite iterate,
+  // and reproduce the healed reference solve bitwise (the fallback
   // apply_many applies the identity per column, so values match exactly).
   auto p = make_laplace27(Box{8, 8, 8});
   const std::size_t n = p.b.size();
@@ -398,10 +423,17 @@ TEST(SolveMany, PanelRecoverMatchesSingleSolverHealing) {
 
   avec<double> x1(n, 0.0);
   SelfHealingIdentity M1;
-  const SolveResult single =
-      pcg<double>(op_of(p.A), {p.b.data(), n}, {x1.data(), n}, M1, opts);
+  const SolveResult single = oracle::pcg<double>(
+      op_of(p.A), {p.b.data(), n}, {x1.data(), n}, M1, opts);
   ASSERT_TRUE(single.converged) << single.status();
   ASSERT_EQ(single.heals, 1);
+
+  avec<double> x0(n, 0.0);
+  M1.reset();
+  const SolveResult one =
+      pcg<double>(op_of(p.A), {p.b.data(), n}, {x0.data(), n}, M1, opts);
+  EXPECT_TRUE(result_matches(one, single, 0));
+  EXPECT_EQ(std::memcmp(x0.data(), x1.data(), n * sizeof(double)), 0);
 
   const int k = 3;
   MultiVector<double> B(static_cast<std::int64_t>(n), k), X(

@@ -4,9 +4,8 @@
 EXPERIMENTS.md is the authoritative registry of runtime knobs.  This
 script cross-checks it against the code in both directions:
 
-  * every `SMG_*` variable the code actually reads — via `getenv`,
-    `env_value` or the `env_double`/`env_int` wrappers in src/, plus the
-    bench harness —
+  * every `SMG_*` variable the code actually reads — via `getenv` or
+    `env_value` in src/, plus the bench harness's `env_double` wrapper —
     must appear in EXPERIMENTS.md, so no knob ships undocumented;
   * every `SMG_*` token EXPERIMENTS.md mentions must still be read
     somewhere, so the table cannot go stale when a knob is removed.
@@ -30,12 +29,11 @@ SCANNED_DIRS = [REPO / "src", REPO / "bench"]
 SOURCE_SUFFIXES = {".cpp", ".hpp"}
 
 # getenv("SMG_X"), the shared reading rule env_value("SMG_X") of
-# src/util/env.hpp, and the typed wrappers env_double("SMG_X", ...),
-# env_int("SMG_X", ...).  Only string literals count: a variable-named
+# src/util/env.hpp, and the bench harness's env_double("SMG_X", ...).  Only string literals count: a variable-named
 # read cannot be checked and is a style error anyway.  The call may be
 # wrapped across lines by clang-format, so match on whole-file text.
 READ_RE = re.compile(
-    r'\b(?:getenv|env_value|env_double|env_int)\s*\(\s*"(SMG_[A-Z0-9_]+)"'
+    r'\b(?:getenv|env_value|env_double)\s*\(\s*"(SMG_[A-Z0-9_]+)"'
 )
 
 DOC_TOKEN_RE = re.compile(r"\bSMG_[A-Z0-9_]+\b")
