@@ -25,9 +25,8 @@
 //     FP16-exact problems — the paper's headline extended to FMG,
 //   * F-cycle time-to-discretization-error beats the V-cycle PCG solve of
 //     the same config to the same error level on both gated problems,
-//   * the decomposed F-cycle's halo ledger equals the perfmodel prediction
-//     EXACTLY, and the measured per-level visit counts and conversion
-//     volume equal cycle_visits / conversions_per_apply exactly.
+//   * the measured per-level visit counts and conversion volume equal
+//     cycle_visits / conversions_per_apply exactly.
 #include <array>
 #include <string>
 
@@ -36,7 +35,6 @@
 #include "kernels/blas1.hpp"
 #include "obs/counters.hpp"
 #include "obs/telemetry.hpp"
-#include "perfmodel/halo.hpp"
 #include "solvers/fmg.hpp"
 
 using namespace smg;
@@ -283,56 +281,14 @@ SMG_BENCH(disc_cycle_shapes,
                 v_err_ratio, tv / tf);
   }
 
-  // ---- ledger exactness: decomposed F-cycle halo bytes == perfmodel -----
+  // ---- ledger exactness: visit multiplicities and conversion volume -----
   {
-    const std::array<int, 3> nb = {2, 2, 2};
-    const std::int64_t min_box = 256;
-    MGConfig cfg = config_full64();
-    cfg.min_coarse_cells = 64;
-    cfg.smoother = SmootherType::Jacobi;
-    cfg.cycle = CycleShape::F;
-    cfg.decomp = nb;
-    cfg.decomp_min_box = min_box;
-    Problem p = make_laplace27_mms(ctx.box("laplace27"));
-    MGHierarchy h(std::move(p.A), cfg);
-    MGPrecond<double> M(&h);
-    const std::size_t n = p.b.size();
-    avec<double> r(n, 1.0), e(n, 0.0);
-    obs::Telemetry tel(obs::TelemetryLevel::Counters, h.nlevels());
-    {
-      const obs::InstallGuard guard(&tel);
-      M.apply({r.data(), n}, {e.data(), n});
-    }
-    const auto model = model_halo(h, nb, min_box);
-    const double measured_b = static_cast<double>(tel.halo_bytes_total());
-    const double model_b = static_cast<double>(
-        model_halo_bytes_per_apply(model, sizeof(double)));
-    if (measured_b != model_b) {
-      ctx.fail("decomposed F-cycle halo bytes != perfmodel prediction (" +
-               Table::fmt(measured_b, 0) + " vs " + Table::fmt(model_b, 0) +
-               ")");
-    }
-    for (const HaloLevelModel& lm : model) {
-      if (!lm.boxed) {
-        continue;
-      }
-      const auto measured_x = tel.halo_exchanges(lm.level);
-      if (measured_x != static_cast<std::uint64_t>(lm.exchanges())) {
-        ctx.fail("level " + std::to_string(lm.level) +
-                 " F-cycle exchange count != model (" +
-                 std::to_string(measured_x) + " vs " +
-                 std::to_string(lm.exchanges()) + ")");
-      }
-    }
-    ctx.value("laplace27_mms/2x2x2/fcycle_halo_kib_per_apply",
-              measured_b / 1024.0, "kib", bench::Better::None, /*gate=*/true);
-
-    // Visit multiplicities and conversion volume on the plain path.
     MGConfig ucfg = config_d16_setup_scale();
     ucfg.min_coarse_cells = 64;
     ucfg.cycle = CycleShape::F;
     ucfg.telemetry = obs::TelemetryLevel::Counters;
     Problem q = make_laplace27_mms(ctx.box("laplace27"));
+    const std::size_t n = q.b.size();
     MGHierarchy hu(std::move(q.A), ucfg);
     auto Mu = make_mg_precond<double>(hu);
     obs::Telemetry* tu = Mu->telemetry();
@@ -357,8 +313,7 @@ SMG_BENCH(disc_cycle_shapes,
                  " modeled conversion volume != measured matrix passes");
       }
     }
-    std::printf("\nledgers: halo %.1f KiB/apply == model; visit counts and "
-                "conversion volume match cycle_visits exactly\n",
-                measured_b / 1024.0);
+    std::printf("\nledgers: visit counts and conversion volume match "
+                "cycle_visits exactly\n");
   }
 }

@@ -1,14 +1,18 @@
 // Thread scaling of the SymGS smoother and the full V-cycle (the Fig. 9
 // companion this repo adds: the paper's Fig. 8/9 machines run 32-64 threads,
-// where a *serial* smoother would Amdahl-cap the whole preconditioner).
+// where a *serial* smoother would Amdahl-cap the whole preconditioner), and
+// the one-host substitute for the paper's Fig. 10 strong scaling: Full64
+// beside FP16 storage at every thread count.
 //
 // For each problem at fig8 scale: a single-thread sequential-smoother
 // baseline, then OMP_NUM_THREADS in {1,2,4,8} with the Auto wavefront
-// smoother.  Reported per config: ms per SymGS (fwd+bwd) sweep pair on the
-// finest level, ms per full V-cycle, and the speedups vs the baseline —
-// emitted both as a table and as one JSON line per config for BENCH_*.json
-// harvesting.  (On a single-core host extra threads oversubscribe; the
-// interesting series needs >= 2 cores.)
+// smoother, each count timed at FP16 storage (config_d16_setup_scale) and
+// at Full64 (config_full64, keys under <problem>/full64/).  Reported per
+// config: ms per SymGS (fwd+bwd) sweep pair on the finest level, ms per
+// full V-cycle, the speedups vs the baseline, and the FP16-vs-Full64
+// V-cycle speedup — emitted both as a table and as one JSON line per
+// config for BENCH_*.json harvesting.  (On a single-core host extra
+// threads oversubscribe; the interesting series needs >= 2 cores.)
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -28,28 +32,31 @@ namespace {
 
 struct Timing {
   double symgs_ms = 0.0;   ///< one forward+backward sweep pair, finest level
-  double vcycle_ms = 0.0;  ///< one MGPrecond<float>::apply
+  double vcycle_ms = 0.0;  ///< one MGPrecond<CT>::apply
   std::string mode;        ///< smoother schedule actually in effect
 };
 
+/// Times the finest-level sweeps and full cycles in compute precision CT
+/// (float for FP16 storage, double for Full64, matching cfg.compute).
+template <class CT>
 Timing measure(const Problem& p, MGConfig cfg) {
   StructMat<double> A = p.A;
   MGHierarchy h(std::move(A), cfg);
-  MGPrecond<float> M(&h);
+  MGPrecond<CT> M(&h);
 
   const Level& l0 = h.level(0);
   const std::size_t n = static_cast<std::size_t>(l0.A_full.nrows());
-  avec<float> f(n, 1.0f);
-  avec<float> u(n, 0.0f);
-  avec<float> invdf(l0.invdiag.size());
-  copy_convert<float, double>({l0.invdiag.data(), l0.invdiag.size()},
-                              {invdf.data(), invdf.size()});
-  avec<float> q2f;
-  const float* q2 = nullptr;
+  avec<CT> f(n, CT{1});
+  avec<CT> u(n, CT{0});
+  avec<CT> invdf(l0.invdiag.size());
+  copy_convert<CT, double>({l0.invdiag.data(), l0.invdiag.size()},
+                           {invdf.data(), invdf.size()});
+  avec<CT> q2f;
+  const CT* q2 = nullptr;
   if (l0.scaled) {
     q2f.resize(l0.q2.size());
-    copy_convert<float, double>({l0.q2.data(), l0.q2.size()},
-                                {q2f.data(), q2f.size()});
+    copy_convert<CT, double>({l0.q2.data(), l0.q2.size()},
+                             {q2f.data(), q2f.size()});
     q2 = q2f.data();
   }
   const WavefrontSchedule* wf =
@@ -66,20 +73,18 @@ Timing measure(const Problem& p, MGConfig cfg) {
     Timer ts;
     for (int s = 0; s < sweeps; ++s) {
       l0.A_stored.visit([&](const auto& m) {
-        gs_forward(m, std::span<const float>{f.data(), n},
-                   std::span<float>{u.data(), n},
-                   std::span<const float>{invdf.data(), invdf.size()}, q2,
-                   wf);
-        gs_backward(m, std::span<const float>{f.data(), n},
-                    std::span<float>{u.data(), n},
-                    std::span<const float>{invdf.data(), invdf.size()}, q2,
-                    wf);
+        gs_forward(m, std::span<const CT>{f.data(), n},
+                   std::span<CT>{u.data(), n},
+                   std::span<const CT>{invdf.data(), invdf.size()}, q2, wf);
+        gs_backward(m, std::span<const CT>{f.data(), n},
+                    std::span<CT>{u.data(), n},
+                    std::span<const CT>{invdf.data(), invdf.size()}, q2, wf);
       });
     }
     best_symgs = std::min(best_symgs, ts.seconds());
 
-    avec<float> r(n, 1.0f);
-    avec<float> e(n, 0.0f);
+    avec<CT> r(n, CT{1});
+    avec<CT> e(n, CT{0});
     Timer tc;
     for (int c = 0; c < cycles; ++c) {
       M.apply({r.data(), n}, {e.data(), n});
@@ -102,11 +107,11 @@ void set_threads(int nt) {
 }  // namespace
 
 SMG_BENCH(fig9_thread_scaling,
-          "Fig. 8/9 threading companion (kernel ablation: SymGS dominates)",
+          "Fig. 8/9 threading companion; Fig. 10 measured on one host",
           bench::kPaper) {
   bench::print_header(
-      "Thread scaling: SymGS sweeps and full V-cycles (wavefront smoother)",
-      "Fig. 8/9 threading companion (kernel ablation: SymGS dominates)");
+      "Thread scaling: SymGS sweeps and full V-cycles, FP16 vs Full64",
+      "Fig. 8/9 threading companion; Fig. 10 measured on one host");
 
   std::vector<int> threads = {1, 2, 4, 8};
 #if defined(_OPENMP)
@@ -123,7 +128,7 @@ SMG_BENCH(fig9_thread_scaling,
               hw);
 
   Table t({"problem", "threads", "mode", "symgs ms", "vcycle ms", "symgs x",
-           "vcycle x"});
+           "vcycle x", "fp16 vs full64"});
 
   std::vector<const char*> problems = {"rhd", "weather", "laplace27",
                                        "solid3d"};
@@ -140,20 +145,20 @@ SMG_BENCH(fig9_thread_scaling,
     seq.min_coarse_cells = 64;
     seq.smoother_parallel = SmootherParallel::Sequential;
     set_threads(1);
-    const Timing base = measure(p, seq);
+    const Timing base = measure<float>(p, seq);
     ctx.value(std::string(name) + "/t1_seq/symgs_ms", base.symgs_ms, "ms",
               bench::Better::Lower);
     ctx.value(std::string(name) + "/t1_seq/vcycle_ms", base.vcycle_ms, "ms",
               bench::Better::Lower);
     t.row({name, "1", "sequential", Table::fmt(base.symgs_ms, 3),
-           Table::fmt(base.vcycle_ms, 3), "1.00", "1.00"});
+           Table::fmt(base.vcycle_ms, 3), "1.00", "1.00", "-"});
 
     for (int nt : threads) {
       set_threads(nt);
       MGConfig cfg = config_d16_setup_scale();
       cfg.min_coarse_cells = 64;
       cfg.smoother_parallel = SmootherParallel::Auto;
-      const Timing cur = measure(p, cfg);
+      const Timing cur = measure<float>(p, cfg);
       const double sx = base.symgs_ms / cur.symgs_ms;
       const double vx = base.vcycle_ms / cur.vcycle_ms;
       const std::string key =
@@ -165,7 +170,24 @@ SMG_BENCH(fig9_thread_scaling,
       ctx.value(key + "vcycle_speedup", vx, "x", bench::Better::Higher);
       t.row({name, std::to_string(nt), cur.mode, Table::fmt(cur.symgs_ms, 3),
              Table::fmt(cur.vcycle_ms, 3), Table::fmt(sx, 2) + "x",
-             Table::fmt(vx, 2) + "x"});
+             Table::fmt(vx, 2) + "x", "-"});
+
+      // Fig. 10 substitute: the same thread count at Full64.
+      MGConfig full = config_full64();
+      full.min_coarse_cells = 64;
+      full.smoother_parallel = SmootherParallel::Auto;
+      const Timing f64 = measure<double>(p, full);
+      const double mix = f64.vcycle_ms / cur.vcycle_ms;
+      const std::string fkey =
+          std::string(name) + "/full64/t" + std::to_string(nt) + "/";
+      ctx.value(fkey + "symgs_ms", f64.symgs_ms, "ms", bench::Better::Lower);
+      ctx.value(fkey + "vcycle_ms", f64.vcycle_ms, "ms",
+                bench::Better::Lower);
+      ctx.value(fkey + "fp16_vcycle_speedup", mix, "x",
+                bench::Better::Higher);
+      t.row({name, std::to_string(nt), f64.mode + " full64",
+             Table::fmt(f64.symgs_ms, 3), Table::fmt(f64.vcycle_ms, 3), "-",
+             "-", Table::fmt(mix, 2) + "x"});
     }
   }
 

@@ -23,9 +23,10 @@ int main(int argc, char** argv) {
   const int n = argc > 1 ? std::atoi(argv[1]) : 48;
   std::printf("== StructMG-FP16 quickstart: %d^3 Poisson (27-point) ==\n", n);
 
-  // Optional service metrics: SMG_METRICS=on counts solves/cache/halo
-  // traffic (docs/METRICS.md); SMG_METRICS_FILE=path exports OpenMetrics
-  // text, with SMG_METRICS_PERIOD=seconds flushing it in the background.
+  // Optional service metrics: SMG_METRICS=on counts solves, cache hits
+  // and preconditioner applies (docs/METRICS.md); SMG_METRICS_FILE=path
+  // exports OpenMetrics text, with SMG_METRICS_PERIOD=seconds flushing it
+  // in the background.
   const auto flusher = obs::MetricsFlusher::start_from_env();
 
   // 1. The problem: A x = b in FP64 (your application's precision).

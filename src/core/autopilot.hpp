@@ -20,7 +20,7 @@
 //    solver then retries from its last good state.
 //
 // Every action is recorded as an AutopilotDecision and exported through the
-// telemetry report (obs/report.cpp, schema smg-telemetry-v3).
+// telemetry report (obs/report.cpp, schema smg-telemetry-v4).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "core/config.hpp"
 
-#include <cstdio>
 #include <string>
 
 #include "util/common.hpp"
@@ -16,51 +15,6 @@ constexpr const char* kLadderSpellings =
     "case-insensitive)";
 
 }  // namespace
-
-std::array<int, 3> effective_decomp(const MGConfig& cfg) noexcept {
-  const auto env = env_value("SMG_DECOMP");
-  if (!env) {
-    return cfg.decomp;
-  }
-  // Accept "2x2x2", "2,2,1", or "2 2 1"; nothing may follow the third count.
-  std::string buf = *env;
-  for (char& c : buf) {
-    if (c == 'x' || c == ',') {
-      c = ' ';
-    }
-  }
-  std::array<int, 3> d{1, 1, 1};
-  int used = 0;
-  if (std::sscanf(buf.c_str(), "%d %d %d%n", &d[0], &d[1], &d[2], &used) !=
-          3 ||
-      buf[static_cast<std::size_t>(used)] != '\0' || d[0] < 1 || d[1] < 1 ||
-      d[2] < 1) {
-    fail("SMG_DECOMP must be three positive box counts such as 2x2x2, "
-         "2,2,1 or \"2 2 1\"",
-         __FILE__, __LINE__);
-  }
-  return d;
-}
-
-bool effective_halo_fp16(const MGConfig& cfg) noexcept {
-  const auto env = env_value("SMG_HALO_FP16");
-  if (!env) {
-    return cfg.halo_fp16;
-  }
-  for (const char* on : {"1", "on", "true", "yes"}) {
-    if (*env == on) {
-      return true;
-    }
-  }
-  for (const char* off : {"0", "off", "false", "no"}) {
-    if (*env == off) {
-      return false;
-    }
-  }
-  fail("SMG_HALO_FP16 must be one of 1/on/true/yes or 0/off/false/no "
-       "(case-insensitive)",
-       __FILE__, __LINE__);
-}
 
 std::vector<Prec> effective_storage_ladder(const MGConfig& cfg,
                                            bool* auto_rungs) {

@@ -188,7 +188,7 @@ struct MGConfig {
   obs::TelemetryLevel telemetry = obs::TelemetryLevel::Off;
   /// Service metrics (src/obs/metrics.hpp): On flips the process-global
   /// registry switch when a preconditioner is built on this config, so
-  /// solves feed latency histograms and cache/halo/autopilot counters.
+  /// solves feed latency histograms and cache/autopilot counters.
   /// Off solves are bitwise identical to pre-metrics builds; SMG_METRICS
   /// overrides at runtime (obs::effective_metrics).
   obs::MetricsLevel metrics = obs::MetricsLevel::Off;
@@ -199,23 +199,10 @@ struct MGConfig {
   // Fig. 7/8 "(opt)" numbers use.
   Layout layout = Layout::SOAL;
 
-  // --- box decomposition (DESIGN.md §11) ---
-  /// Sub-box grid of the sharded hierarchy: each MG level is split into
-  /// decomp[0] x decomp[1] x decomp[2] boxes with halo exchange between
-  /// them, run one-box-per-worker on the persistent pool.  {1,1,1} (the
-  /// default) bypasses the decomposed engine entirely — every kernel runs
-  /// the exact pre-existing single-box path, bitwise identical.  The
-  /// SMG_DECOMP env var ("NxNxN") overrides this (effective_decomp).
+  /// Has no effect: read nowhere.  Kept only because the frozen benchmark
+  /// (perfbench/src/layers.cpp) still assigns it; it goes with the next
+  /// change to that benchmark.
   std::array<int, 3> decomp{1, 1, 1};
-  /// Agglomeration threshold: a level whose smallest sub-box interior would
-  /// drop below this many cells is run as a single box instead (coarse
-  /// levels collapse onto one box, HPGMG-style).
-  std::int64_t decomp_min_box = 512;
-  /// FP16-packed halo wire format: halves the exchanged bytes but rounds
-  /// each ghost value to half precision (<= 2^-11 relative), so decomposed
-  /// cycles are no longer bitwise identical to raw-wire ones.  Off by
-  /// default; SMG_HALO_FP16 overrides (effective_halo_fp16).
-  bool halo_fp16 = false;
 
   /// Storage precision actually used on `level`: the ladder rung, the last
   /// rung extending to coarser levels.
@@ -240,13 +227,6 @@ struct MGConfig {
 /// to the config; keywords and format names are case-insensitive; any other
 /// value, including one with leading or trailing whitespace, is a fatal
 /// error naming the variable and its accepted spellings.
-
-/// Box-decomposition knobs actually in effect: the SMG_DECOMP env var
-/// (three positive counts, "2x2x2", "2,2,1" or "2 2 1") overrides
-/// cfg.decomp, and SMG_HALO_FP16 (1/on/true/yes or 0/off/false/no)
-/// overrides cfg.halo_fp16.
-std::array<int, 3> effective_decomp(const MGConfig& cfg) noexcept;
-bool effective_halo_fp16(const MGConfig& cfg) noexcept;
 
 /// Storage ladder actually in effect: SMG_STORAGE_LADDER overrides
 /// cfg.storage_ladder.  Accepts a comma/space/colon-separated list of format

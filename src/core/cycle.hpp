@@ -11,10 +11,9 @@
 //   restrict_rhs(l)         f_{l+1} := R f_l          (F-cycle injection)
 //   prolong_add(l)          u_l += P u_{l+1}
 //
-// Backends: VectorOps (core/mg_precond.hpp, one vector per level), the
-// panel ops behind MGPrecond::apply_many (k columns per level), and
-// DecompEngine (core/decomp_engine.hpp, boxed levels with halo exchange,
-// unboxed levels delegated to VectorOps).
+// Backends (core/mg_precond.cpp): VectorOps behind MGPrecond::apply, one
+// vector per level, and the panel ops behind MGPrecond::apply_many, k
+// columns per level.
 #pragma once
 
 #include "core/config.hpp"

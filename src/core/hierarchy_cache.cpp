@@ -92,8 +92,9 @@ std::uint64_t hierarchy_fingerprint(const StructMat<double>& A,
                             static_cast<std::size_t>(A.block_size()) *
                             static_cast<std::size_t>(A.block_size());
   f.words(A.data(), nvals * sizeof(double));
-  // Every MGConfig field that shapes the setup (all of them: a telemetry
-  // or layout change must not alias a cached setup either).
+  // Every MGConfig field that shapes the setup (all but the inert
+  // `decomp`: a telemetry or layout change must not alias a cached setup
+  // either).
   f.value(cfg.max_levels);
   f.value(cfg.min_coarse_cells);
   f.value(cfg.min_dim);
@@ -119,11 +120,6 @@ std::uint64_t hierarchy_fingerprint(const StructMat<double>& A,
   f.enumval(cfg.telemetry);
   f.enumval(cfg.metrics);
   f.enumval(cfg.layout);
-  for (const int d : cfg.decomp) {
-    f.value(d);
-  }
-  f.value(cfg.decomp_min_box);
-  f.value(cfg.halo_fp16);
   return f.h;
 }
 

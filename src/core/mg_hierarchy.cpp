@@ -71,7 +71,7 @@ MGHierarchy::MGHierarchy(StructMat<double> A0, MGConfig cfg)
   }
 
   // Flip the sticky process-wide metrics switch before anything built on
-  // this hierarchy (DecompEngine, adapters) registers its series.
+  // this hierarchy (the preconditioner adapters) registers its series.
   if (obs::effective_metrics(cfg_.metrics) == obs::MetricsLevel::On) {
     obs::enable_metrics(true);
   }

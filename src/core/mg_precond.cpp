@@ -36,21 +36,10 @@ MGPrecond<CT>::MGPrecond(const MGHierarchy* h)
     copy_convert<CT, double>({q2.data(), q2.size()},
                              {wrap_q2_.data(), wrap_q2_.size()});
   }
-  const std::array<int, 3> nb = effective_decomp(h_->config());
-  if (nb != std::array<int, 3>{1, 1, 1}) {
-    auto engine = std::make_unique<DecompEngine<CT>>(
-        h_, nb, effective_halo_fp16(h_->config()));
-    if (engine->active()) {
-      engine_ = std::move(engine);
-    }
-  }
 }
 
 template <class CT>
 void MGPrecond<CT>::refresh_level(int l) {
-  if (engine_ != nullptr) {
-    engine_->refresh_level(l);
-  }
   const Level& hl = h_->level(l);
   LevelData<CT>& L = lv_[static_cast<std::size_t>(l)];
   if (hl.scaled) {
@@ -64,6 +53,33 @@ void MGPrecond<CT>::refresh_level(int l) {
 }
 
 // ---- single-vector backend ------------------------------------------------
+
+namespace {
+
+/// Single-vector backend of run_cycle: each level op is one kernel pass
+/// over level vectors `lv`, reading the hierarchy's stored matrices.  A
+/// view — MGPrecond owns the storage.
+template <class CT>
+class VectorOps {
+ public:
+  VectorOps(const MGHierarchy& h, std::vector<LevelData<CT>>& lv)
+      : h_(h), lv_(lv) {}
+
+  int nu1() const noexcept { return h_.config().nu1; }
+  int nu2() const noexcept { return h_.config().nu2; }
+  void zero(int l);
+  void smooth(int l, bool forward);
+  void downstroke(int l);
+  void coarse_solve(int l);
+  void restrict_rhs(int l);
+  void prolong_add(int l);
+
+ private:
+  LevelData<CT>& level(int l) { return lv_[static_cast<std::size_t>(l)]; }
+
+  const MGHierarchy& h_;
+  std::vector<LevelData<CT>>& lv_;
+};
 
 template <class CT>
 void VectorOps<CT>::zero(int l) {
@@ -151,8 +167,6 @@ void VectorOps<CT>::prolong_add(int l) {
 }
 
 // ---- panel backend --------------------------------------------------------
-
-namespace {
 
 /// Panel backend of run_cycle: VectorOps with the k-column kernels, column
 /// c bitwise identical to a single-vector cycle of that column.  Level
@@ -286,21 +300,6 @@ void MGPrecond<CT>::ensure_panels(int k) {
 
 template <class CT>
 void MGPrecond<CT>::apply_many(const MultiVector<CT>& r, MultiVector<CT>& e) {
-  if (engine_ != nullptr) {
-    // The decomposed backend is single-vector: peel the panel column-wise
-    // (box parallelism replaces panel amortization when sharding is on).
-    SMG_CHECK(r.rows() == e.rows() && r.cols() == e.cols(),
-              "MG apply_many size mismatch");
-    const std::size_t n = static_cast<std::size_t>(r.rows());
-    colbuf_f_.resize(n);
-    colbuf_u_.resize(n);
-    for (int c = 0; c < r.cols(); ++c) {
-      r.extract_col(c, {colbuf_f_.data(), n});
-      apply({colbuf_f_.data(), n}, {colbuf_u_.data(), n});
-      e.insert_col(c, {colbuf_u_.data(), n});
-    }
-    return;
-  }
   ensure_panels(r.cols());
   PanelData<CT>& P0 = pv_.front();
   SMG_CHECK(r.rows() == P0.f.rows() && e.rows() == P0.u.rows() &&
@@ -335,11 +334,7 @@ void MGPrecond<CT>::apply(std::span<const CT> r, std::span<CT> e) {
     copy_convert<CT, CT>(r, {L0.f.data(), L0.f.size()});
   }
   VectorOps<CT> ops(*h_, lv_);
-  if (engine_ != nullptr) {
-    engine_->apply(ops, shape_);
-  } else {
-    run_cycle(ops, shape_, h_->nlevels());
-  }
+  run_cycle(ops, shape_, h_->nlevels());
   if (h_->finest_wrapped()) {
     ewise_div<CT>({L0.u.data(), L0.u.size()}, q2w, e);
   } else {
@@ -483,8 +478,6 @@ std::unique_ptr<PrecondBase<KT>> make_mg_precond(MGHierarchy& h) {
   return std::make_unique<MGPrecondAdapter<KT, float>>(&h);
 }
 
-template class VectorOps<float>;
-template class VectorOps<double>;
 template class MGPrecond<float>;
 template class MGPrecond<double>;
 template class MGPrecondAdapter<double, float>;

@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "core/decomp_engine.hpp"
 #include "core/mg_hierarchy.hpp"
 #include "obs/telemetry.hpp"
 #include "solvers/precond.hpp"
@@ -34,35 +33,9 @@ struct PanelData {
   MultiVector<CT> u, f, r;
 };
 
-/// Single-vector backend of run_cycle (core/cycle.hpp): each level op is
-/// one kernel pass over level vectors `lv`, reading the hierarchy's stored
-/// matrices.  A view — MGPrecond owns the storage; DecompEngine sends its
-/// unboxed levels here.
-template <class CT>
-class VectorOps {
- public:
-  VectorOps(const MGHierarchy& h, std::vector<LevelData<CT>>& lv)
-      : h_(h), lv_(lv) {}
-
-  int nu1() const noexcept { return h_.config().nu1; }
-  int nu2() const noexcept { return h_.config().nu2; }
-  void zero(int l);
-  void smooth(int l, bool forward);
-  void downstroke(int l);
-  void coarse_solve(int l);
-  void restrict_rhs(int l);
-  void prolong_add(int l);
-
-  LevelData<CT>& level(int l) { return lv_[static_cast<std::size_t>(l)]; }
-
- private:
-  const MGHierarchy& h_;
-  std::vector<LevelData<CT>>& lv_;
-};
-
 /// One multigrid cycle application engine in compute precision CT: owns
-/// the level vectors and runs run_cycle over the single-vector, panel or
-/// (when MGConfig::decomp splits the finest level) box-decomposed backend.
+/// the level vectors and runs run_cycle over the single-vector backend
+/// (apply) or the panel backend (apply_many).
 template <class CT>
 class MGPrecond {
  public:
@@ -103,11 +76,6 @@ class MGPrecond {
   std::vector<PanelData<CT>> pv_;  ///< sized by ensure_panels (apply_many)
   avec<CT> colbuf_f_, colbuf_u_;  ///< per-column coarse-solve scratch
   avec<CT> wrap_q2_;  ///< finest Q^{1/2} when hierarchy.finest_wrapped()
-  /// Sharded (box-decomposed) backend; constructed only when the effective
-  /// decomposition (MGConfig::decomp / SMG_DECOMP) splits the finest level
-  /// into more than one box.  apply() cycles through it; apply_many peels
-  /// panel columns through apply().
-  std::unique_ptr<DecompEngine<CT>> engine_;
 };
 
 /// Adapts MGPrecond<CT> to the Krylov-facing PrecondBase<KT>: truncates the
@@ -163,8 +131,6 @@ class MGPrecondAdapter final : public PrecondBase<KT> {
 template <class KT>
 std::unique_ptr<PrecondBase<KT>> make_mg_precond(MGHierarchy& h);
 
-extern template class VectorOps<float>;
-extern template class VectorOps<double>;
 extern template class MGPrecond<float>;
 extern template class MGPrecond<double>;
 extern template class MGPrecondAdapter<double, float>;

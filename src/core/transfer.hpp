@@ -242,10 +242,9 @@ CT* line_scratch(std::size_t n) {
   return buf.data();
 }
 
-/// u += P e on the fine points [ilo, ihi) (global x) of fine line (j, k).
-/// Each point holds w contiguous values (bs dofs times panel columns), each
-/// folded independently.  `u` addresses point ilo; line(J, K) returns coarse
-/// line (J, K) addressed so that point I sits at (I - corg) * w.
+/// u += P e on fine line (j, k).  Each point holds w contiguous values (bs
+/// dofs times panel columns), each folded independently.  `u` addresses
+/// point 0; line(J, K) returns coarse line (J, K) from its point 0.
 ///
 /// Every value keeps the per-point fold: from CT{0}, rows in (a, b) order,
 /// each row's x-parents ascending, the sum added to u once.  Rows are applied
@@ -255,14 +254,12 @@ CT* line_scratch(std::size_t n) {
 /// reads only I.  Even and odd sums live in separate halves of `acc` and are
 /// interleaved into u by the last pass.
 template <int WC, class CT, class LineFn>
-void prolong_run(const Coarsening& c, int j, int k, int W, int ilo, int ihi,
-                 int corg, LineFn&& line, CT* SMG_RESTRICT u) {
-  if (ilo >= ihi) {
-    return;
-  }
+void prolong_run(const Coarsening& c, int j, int k, int W, LineFn&& line,
+                 CT* SMG_RESTRICT u) {
   const std::int64_t w = WC > 0 ? WC : W;
   const LineStencil<CT> s(prolong_rows(c, j, k), line);
-  const std::int64_t n = (ihi - ilo) * w;
+  const int nf = c.fine.nx;
+  const std::int64_t n = nf * w;
   CT* SMG_RESTRICT acc = line_scratch<CT>(static_cast<std::size_t>(n));
   for (std::int64_t q = 0; q < n; ++q) {
     acc[q] = CT{0};
@@ -270,7 +267,7 @@ void prolong_run(const Coarsening& c, int j, int k, int W, int ilo, int ihi,
   if (!c.mask[0]) {
     for (int r = 0; r < s.n; ++r) {
       const CT wf = s.full[r];
-      const CT* SMG_RESTRICT p = s.row[r] + (ilo - corg) * w;
+      const CT* SMG_RESTRICT p = s.row[r];
       for (std::int64_t q = 0; q < n; ++q) {
         acc[q] = mul_add(wf, p[q], acc[q]);
       }
@@ -280,87 +277,67 @@ void prolong_run(const Coarsening& c, int j, int k, int W, int ilo, int ihi,
     }
     return;
   }
-  // Even points 2I for I in [e0, e1), odd points 2I+1 for I in [o0, o1);
-  // those in [o0, o2) have both parents.
+  // Even points 2I for I in [0, e1), odd points 2I+1 for I in [0, o1);
+  // those in [0, o2) have both parents.
   const int nc = c.coarse.nx;
-  const int e0 = (ilo + 1) / 2;
-  const int e1 = (ihi + 1) / 2;
-  const int o0 = ilo / 2;
-  const int o1 = ihi / 2;
-  const int o2 = std::max(o0, std::min(o1, nc - 1));
-  const std::int64_t ne = (e1 - e0) * w;
-  const std::int64_t n2 = (o2 - o0) * w;
+  const int e1 = (nf + 1) / 2;
+  const int o1 = nf / 2;
+  const int o2 = std::max(0, std::min(o1, nc - 1));
+  const std::int64_t ne = e1 * w;
+  const std::int64_t n2 = o2 * w;
   CT* SMG_RESTRICT ev = acc;
   CT* SMG_RESTRICT od = acc + ne;
   for (int r = 0; r < s.n; ++r) {
     const CT wf = s.full[r];
     const CT wh = s.half[r];
-    if (ne > 0) {
-      const CT* SMG_RESTRICT p = s.row[r] + (e0 - corg) * w;
-      for (std::int64_t q = 0; q < ne; ++q) {
-        ev[q] = mul_add(wf, p[q], ev[q]);
-      }
+    const CT* SMG_RESTRICT p = s.row[r];
+    for (std::int64_t q = 0; q < ne; ++q) {
+      ev[q] = mul_add(wf, p[q], ev[q]);
     }
-    if (n2 > 0) {
-      const CT* SMG_RESTRICT p = s.row[r] + (o0 - corg) * w;
-      for (std::int64_t q = 0; q < n2; ++q) {
-        od[q] = mul_add(wh, p[q], od[q]);
-        od[q] = mul_add(wh, p[q + w], od[q]);
-      }
+    for (std::int64_t q = 0; q < n2; ++q) {
+      od[q] = mul_add(wh, p[q], od[q]);
+      od[q] = mul_add(wh, p[q + w], od[q]);
     }
     for (int I = o2; I < std::min(o1, nc); ++I) {
-      CT* SMG_RESTRICT d = od + (I - o0) * w;
-      const CT* SMG_RESTRICT p = s.row[r] + (I - corg) * w;
+      CT* SMG_RESTRICT d = od + I * w;
+      const CT* SMG_RESTRICT pi = p + I * w;
       for (std::int64_t q = 0; q < w; ++q) {
-        d[q] = mul_add(wh, p[q], d[q]);
+        d[q] = mul_add(wh, pi[q], d[q]);
       }
     }
   }
-  int i = ilo;
-  if (i & 1) {
-    for (std::int64_t q = 0; q < w; ++q) {
-      u[q] += od[q];
-    }
-    u += w;
-    od += w;
-    ++i;
-  }
-  const std::int64_t np = (ihi - i) / 2;
-  for (std::int64_t m = 0; m < np; ++m) {
+  for (std::int64_t m = 0; m < o1; ++m) {
     for (std::int64_t q = 0; q < w; ++q) {
       u[2 * m * w + q] += ev[m * w + q];
       u[(2 * m + 1) * w + q] += od[m * w + q];
     }
   }
-  if ((ihi - i) & 1) {
+  if (nf & 1) {
     for (std::int64_t q = 0; q < w; ++q) {
-      u[2 * np * w + q] += ev[np * w + q];
+      u[2 * o1 * w + q] += ev[o1 * w + q];
     }
   }
 }
 
-/// f = R r on the coarse points [Ilo, Ihi) (global x) of coarse line (J, K).
-/// `f` addresses point Ilo; line(j, k) returns fine line (j, k) addressed so
-/// that point i sits at (i - forg) * w.  Rows fold one at a time straight
-/// into f, from CT{0}, each row's x-children ascending — the per-point order.
+/// f = R r on coarse line (J, K).  `f` addresses point 0; line(j, k) returns
+/// fine line (j, k) from its point 0.  Rows fold one at a time straight into
+/// f, from CT{0}, each row's x-children ascending — the per-point order.
 /// Interior points I in [1, nf/2) read children 2I-1, 2I, 2I+1 as one run;
 /// the clipped edge points (at most one per end) go through children_of.
 template <int WC, class CT, class LineFn>
-void restrict_run(const Coarsening& c, int J, int K, int W, int Ilo, int Ihi,
-                  int forg, LineFn&& line, CT* SMG_RESTRICT f) {
-  if (Ilo >= Ihi) {
-    return;
-  }
+void restrict_run(const Coarsening& c, int J, int K, int W, LineFn&& line,
+                  CT* SMG_RESTRICT f) {
   const std::int64_t w = WC > 0 ? WC : W;
   const LineStencil<CT> s(restrict_rows(c, J, K), line);
-  const std::int64_t n = (Ihi - Ilo) * w;
+  const int nc = c.coarse.nx;
+  const std::int64_t n = nc * w;
   for (std::int64_t q = 0; q < n; ++q) {
     f[q] = CT{0};
   }
   if (!c.mask[0]) {
     for (int r = 0; r < s.n; ++r) {
       const CT wf = s.full[r];
-      const CT* SMG_RESTRICT p = s.row[r] + (Ilo - forg) * w;
+      const CT* SMG_RESTRICT p = s.row[r];
       for (std::int64_t q = 0; q < n; ++q) {
         f[q] = mul_add(wf, p[q], f[q]);
       }
@@ -368,40 +345,35 @@ void restrict_run(const Coarsening& c, int J, int K, int W, int Ilo, int Ihi,
     return;
   }
   const int nf = c.fine.nx;
-  const int a0 = std::max(Ilo, 1);
-  const int a1 = std::max(a0, std::min(Ihi, nf / 2));
+  const int a1 = std::max(1, std::min(nc, nf / 2));
   for (int r = 0; r < s.n; ++r) {
     const CT wf = s.full[r];
     const CT wh = s.half[r];
-    if (a1 > a0) {
-      const CT* SMG_RESTRICT p = s.row[r] + (2 * a0 - 1 - forg) * w;
-      CT* SMG_RESTRICT d = f + (a0 - Ilo) * w;
-      for (std::int64_t m = 0; m < a1 - a0; ++m) {
-        for (std::int64_t q = 0; q < w; ++q) {
-          const CT* SMG_RESTRICT pm = p + 2 * m * w + q;
-          CT a = d[m * w + q];
-          a = mul_add(wh, pm[0], a);
-          a = mul_add(wf, pm[w], a);
-          a = mul_add(wh, pm[2 * w], a);
-          d[m * w + q] = a;
-        }
+    const CT* SMG_RESTRICT p = s.row[r] + w;
+    CT* SMG_RESTRICT d = f + w;
+    for (std::int64_t m = 0; m < a1 - 1; ++m) {
+      for (std::int64_t q = 0; q < w; ++q) {
+        const CT* SMG_RESTRICT pm = p + 2 * m * w + q;
+        CT a = d[m * w + q];
+        a = mul_add(wh, pm[0], a);
+        a = mul_add(wf, pm[w], a);
+        a = mul_add(wh, pm[2 * w], a);
+        d[m * w + q] = a;
       }
     }
     const auto edge = [&](int I) {
       const Children ci = children_of(I, nf, true);
-      CT* SMG_RESTRICT d = f + (I - Ilo) * w;
+      CT* SMG_RESTRICT e = f + I * w;
       for (int t = 0; t < ci.count; ++t) {
         const CT wx = ci.idx[t] == 2 * I ? wf : wh;
-        const CT* SMG_RESTRICT p = s.row[r] + (ci.idx[t] - forg) * w;
+        const CT* SMG_RESTRICT pi = s.row[r] + ci.idx[t] * w;
         for (std::int64_t q = 0; q < w; ++q) {
-          d[q] = mul_add(wx, p[q], d[q]);
+          e[q] = mul_add(wx, pi[q], e[q]);
         }
       }
     };
-    for (int I = Ilo; I < a0; ++I) {
-      edge(I);
-    }
-    for (int I = a1; I < Ihi; ++I) {
+    edge(0);
+    for (int I = a1; I < nc; ++I) {
       edge(I);
     }
   }
@@ -411,24 +383,24 @@ void restrict_run(const Coarsening& c, int J, int K, int W, int Ilo, int Ihi,
 /// prolong_run); W = 1 runs a compile-time-width copy so the x runs
 /// vectorize across points.
 template <class CT, class LineFn>
-void prolong_line(const Coarsening& c, int j, int k, int W, int ilo, int ihi,
-                  int corg, LineFn&& line, CT* u) {
+void prolong_line(const Coarsening& c, int j, int k, int W, LineFn&& line,
+                  CT* u) {
   if (W == 1) {
-    prolong_run<1>(c, j, k, W, ilo, ihi, corg, line, u);
+    prolong_run<1>(c, j, k, W, line, u);
   } else {
-    prolong_run<0>(c, j, k, W, ilo, ihi, corg, line, u);
+    prolong_run<0>(c, j, k, W, line, u);
   }
 }
 
 /// The transfer line primitive every restriction kernel runs on (see
 /// restrict_run).
 template <class CT, class LineFn>
-void restrict_line(const Coarsening& c, int J, int K, int W, int Ilo, int Ihi,
-                   int forg, LineFn&& line, CT* f) {
+void restrict_line(const Coarsening& c, int J, int K, int W, LineFn&& line,
+                   CT* f) {
   if (W == 1) {
-    restrict_run<1>(c, J, K, W, Ilo, Ihi, forg, line, f);
+    restrict_run<1>(c, J, K, W, line, f);
   } else {
-    restrict_run<0>(c, J, K, W, Ilo, Ihi, forg, line, f);
+    restrict_run<0>(c, J, K, W, line, f);
   }
 }
 
@@ -443,8 +415,7 @@ void restrict_grid(const Coarsening& c, int W, const CT* rp, CT* fp) {
 #pragma omp parallel for collapse(2) schedule(static)
   for (int K = 0; K < c.coarse.nz; ++K) {
     for (int J = 0; J < c.coarse.ny; ++J) {
-      restrict_line(c, J, K, W, 0, c.coarse.nx, 0, line,
-                    fp + c.coarse.idx(0, J, K) * W);
+      restrict_line(c, J, K, W, line, fp + c.coarse.idx(0, J, K) * W);
     }
   }
 }
@@ -460,8 +431,7 @@ void prolong_grid(const Coarsening& c, int W, const CT* ep, CT* up) {
 #pragma omp parallel for collapse(2) schedule(static)
   for (int k = 0; k < c.fine.nz; ++k) {
     for (int j = 0; j < c.fine.ny; ++j) {
-      prolong_line(c, j, k, W, 0, c.fine.nx, 0, line,
-                   up + c.fine.idx(0, j, k) * W);
+      prolong_line(c, j, k, W, line, up + c.fine.idx(0, j, k) * W);
     }
   }
 }

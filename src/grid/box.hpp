@@ -27,27 +27,6 @@ struct Box {
   }
 
   constexpr bool operator==(const Box&) const noexcept = default;
-
-  /// Interior cell count fraction; boundary-truncated stencil entries live on
-  /// the complement of this set.  Degenerate 1- and 2-cell extents have no
-  /// interior at all: every dimension clamps at 0 before the product, so the
-  /// result is 0 — never a negative-saturated product.
-  constexpr std::int64_t interior_size() const noexcept {
-    const int ix = nx > 2 ? nx - 2 : 0;
-    const int iy = ny > 2 ? ny - 2 : 0;
-    const int iz = nz > 2 ? nz - 2 : 0;
-    return static_cast<std::int64_t>(ix) * iy * iz;
-  }
-
-  /// This box grown by `g` ghost cells on every face (the storage extents of
-  /// one decomposition sub-box; see grid/box_decomp.hpp).  Negative g shrinks
-  /// and clamps each extent at 0 rather than going negative.
-  constexpr Box ghost_grown(int g) const noexcept {
-    const int gx = nx + 2 * g;
-    const int gy = ny + 2 * g;
-    const int gz = nz + 2 * g;
-    return Box{gx > 0 ? gx : 0, gy > 0 ? gy : 0, gz > 0 ? gz : 0};
-  }
 };
 
 }  // namespace smg

@@ -266,15 +266,4 @@ void nrm2_many(const MultiVector<T>& x, std::span<double> out) {
   }
 }
 
-template <class T>
-double nrm_inf(std::span<const T> x) noexcept {
-  const std::size_t n = x.size();
-  double m = 0.0;
-#pragma omp parallel for simd reduction(max : m)
-  for (std::size_t i = 0; i < n; ++i) {
-    m = std::max(m, std::abs(static_cast<double>(x[i])));
-  }
-  return m;
-}
-
 }  // namespace smg

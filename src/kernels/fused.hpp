@@ -86,7 +86,7 @@ void residual_restrict_run(const StructMat<ST>& A, const CT* fp,
         };
         for (int K = k0; K < k1; ++K) {
           for (int J = 0; J < coarse.ny; ++J) {
-            restrict_line(c, J, K, bs * kp, 0, coarse.nx, 0, line,
+            restrict_line(c, J, K, bs * kp, line,
                           out + coarse.idx(0, J, K) * bs * kp);
           }
         }

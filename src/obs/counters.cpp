@@ -10,8 +10,7 @@ std::vector<LevelPrecisionCounters> collect_precision_counters(
   // Visits of each level per apply (cycle_visits, core/config.hpp): 1 for a
   // V-cycle, doubling per W recursion, l+1 under the F-cycle's per-level V
   // sub-cycle roots.  The F counts are NOT powers of two — any doubling
-  // loop here would overcount (that was the pre-F W-coarsest bug in the
-  // halo model; both now share the one helper).
+  // loop here would overcount.
   std::vector<std::uint64_t> visits(static_cast<std::size_t>(h.nlevels()), 1);
   for (int l = 0; l < h.nlevels(); ++l) {
     visits[static_cast<std::size_t>(l)] = static_cast<std::uint64_t>(

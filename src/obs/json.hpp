@@ -1,7 +1,7 @@
 // Minimal JSON value tree, parser, and writer.
 //
 // Just enough JSON for the machine-readable exports: the telemetry report
-// writer (smg-telemetry-v3), the benchmark harness (smg-bench-v1), and
+// writer (smg-telemetry-v4), the benchmark harness (smg-bench-v1), and
 // Chrome trace-event timelines all emit through here, and tests round-trip
 // those files through this parser to validate the schemas without an
 // external dependency.  Not a general-purpose library: numbers parse via

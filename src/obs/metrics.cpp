@@ -541,38 +541,6 @@ void record_autopilot_repair(std::string_view action) noexcept {
       .inc();
 }
 
-namespace {
-
-constexpr const char* kHaloBytesHelp =
-    "Wire bytes moved by halo exchanges per MG level";
-constexpr const char* kHaloExHelp = "Halo exchanges per MG level";
-constexpr const char* kHaloPackHelp =
-    "Seconds in halo pack + transport per MG level";
-constexpr const char* kHaloUnpackHelp = "Seconds in halo unpack per MG level";
-constexpr const char* kHaloModelHelp =
-    "Perfmodel wire bytes per halo exchange (achieved-vs-model reference)";
-
-}  // namespace
-
-HaloLevelMetrics halo_level_metrics(int level) {
-  HaloLevelMetrics m;
-  if (!metrics_enabled()) {
-    return m;
-  }
-  MetricsRegistry& r = MetricsRegistry::global();
-  const MetricLabels labels{{"level", std::to_string(level)}};
-  m.wire_bytes =
-      &r.counter("smg_halo_wire_bytes_total", kHaloBytesHelp, labels);
-  m.exchanges = &r.counter("smg_halo_exchanges_total", kHaloExHelp, labels);
-  m.pack_seconds =
-      &r.counter("smg_halo_pack_seconds_total", kHaloPackHelp, labels);
-  m.unpack_seconds =
-      &r.counter("smg_halo_unpack_seconds_total", kHaloUnpackHelp, labels);
-  m.model_bytes_per_exchange =
-      &r.gauge("smg_halo_model_bytes_per_exchange", kHaloModelHelp, labels);
-  return m;
-}
-
 void register_core_metrics() {
   MetricsRegistry& r = MetricsRegistry::global();
   for (const char* solver : {"cg", "gmres", "solve_many"}) {

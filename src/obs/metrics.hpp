@@ -306,23 +306,6 @@ void record_precond_panel(int columns) noexcept;
 void record_autopilot_event(std::string_view event) noexcept;
 void record_autopilot_repair(std::string_view action) noexcept;
 
-/// Per-level halo handles for the decomposed engine.  Registration is
-/// cold (engine construction); the engine caches the pointers and updates
-/// them lock-free on every exchange.  `model_bytes_per_exchange` is set
-/// once from the perfmodel halo ledger so scrapes can compare achieved
-/// wire bytes per exchange against the model exactly.
-struct HaloLevelMetrics {
-  Counter* wire_bytes = nullptr;
-  Counter* exchanges = nullptr;
-  Counter* pack_seconds = nullptr;
-  Counter* unpack_seconds = nullptr;
-  Gauge* model_bytes_per_exchange = nullptr;
-};
-
-/// Registers (or finds) the level's halo series.  Returns null pointers
-/// when metrics are disabled at call time.
-HaloLevelMetrics halo_level_metrics(int level);
-
 /// Pre-register the core families so exposition shows them at zero before
 /// the first solve (called by enable_metrics(true)).
 void register_core_metrics();

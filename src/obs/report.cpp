@@ -21,7 +21,6 @@ constexpr Kind kKernelKinds[] = {
     Kind::SymGS,    Kind::Jacobi,   Kind::SpMV,
     Kind::Residual, Kind::ResidualRestrict, Kind::Restrict,
     Kind::Prolong,  Kind::CoarseSolve,      Kind::Blas1,
-    Kind::HaloPack, Kind::HaloUnpack,
 };
 
 /// Modeled compulsory bytes of one call of `k` on level `l` (0 = no model).
@@ -112,18 +111,6 @@ SolverReport build_report(const Telemetry& t, const MGHierarchy& h,
     }
   }
   r.levels = collect_precision_counters(h);
-  for (int l = 0; l < h.nlevels(); ++l) {
-    if (t.halo_exchanges(l) == 0) {
-      continue;
-    }
-    HaloLevelStat hs;
-    hs.level = l;
-    hs.bytes = t.halo_bytes(l);
-    hs.exchanges = t.halo_exchanges(l);
-    hs.pack_seconds = t.stat(Kind::HaloPack, l).seconds;
-    hs.unpack_seconds = t.stat(Kind::HaloUnpack, l).seconds;
-    r.halo.push_back(hs);
-  }
   r.policy = h.policy();
   r.autopilot = h.autopilot_log();
   r.storage_ladder = h.config().expand_ladder(h.nlevels());
@@ -188,17 +175,6 @@ void print_report(const SolverReport& r, std::ostream& os) {
   t.print(os);
   os << "\n";
   print_precision_counters(r.levels, os);
-  if (!r.halo.empty()) {
-    os << "\nper-level halo traffic (decomposed engine)\n";
-    Table ht({"level", "exchanges", "wire MB", "pack ms", "unpack ms"});
-    for (const HaloLevelStat& hl : r.halo) {
-      ht.row({std::to_string(hl.level), std::to_string(hl.exchanges),
-              Table::fmt(static_cast<double>(hl.bytes) / (1024.0 * 1024.0), 3),
-              Table::fmt(hl.pack_seconds * 1e3, 3),
-              Table::fmt(hl.unpack_seconds * 1e3, 3)});
-    }
-    ht.print(os);
-  }
   if (!r.autopilot.empty()) {
     os << "\nprecision autopilot decisions (policy: "
        << std::string(to_string(r.policy)) << ")\n";
@@ -242,7 +218,7 @@ void print_precision_counters(const std::vector<LevelPrecisionCounters>& c) {
 std::string to_json(const SolverReport& r) {
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"smg-telemetry-v3\",";
+  out += "{\"schema\":\"smg-telemetry-v4\",";
   out += "\"precision_policy\":\"" + std::string(to_string(r.policy)) + "\",";
   out += "\"storage_ladder\":[";
   for (std::size_t i = 0; i < r.storage_ladder.size(); ++i) {
@@ -303,18 +279,6 @@ std::string to_json(const SolverReport& r) {
     out += ",\"rescales\":" + std::to_string(l.rescales);
     out += ",\"promotions\":" + std::to_string(l.promotions);
     out += "}";
-  }
-  out += "],\"halo\":[";
-  for (std::size_t i = 0; i < r.halo.size(); ++i) {
-    const HaloLevelStat& hl = r.halo[i];
-    if (i > 0) {
-      out += ",";
-    }
-    out += "{\"level\":" + std::to_string(hl.level);
-    out += ",\"bytes\":" + json_num(hl.bytes);
-    out += ",\"exchanges\":" + json_num(hl.exchanges);
-    out += ",\"pack_seconds\":" + json_num(hl.pack_seconds);
-    out += ",\"unpack_seconds\":" + json_num(hl.unpack_seconds) + "}";
   }
   out += "],\"autopilot\":[";
   for (std::size_t i = 0; i < r.autopilot.size(); ++i) {

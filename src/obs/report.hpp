@@ -3,7 +3,7 @@
 // Z% of the bandwidth model" — the per-level ledger Figs. 7-8 of the paper
 // report.  Three outputs:
 //   * print_report  — fixed-width tables on a stream (util/table.hpp),
-//   * to_json       — machine-readable document, schema "smg-telemetry-v3",
+//   * to_json       — machine-readable document, schema "smg-telemetry-v4",
 //   * to_chrome_trace — trace-event JSON loadable in chrome://tracing or
 //                       Perfetto (one complete "X" event per recorded span).
 #pragma once
@@ -31,16 +31,6 @@ struct KernelRow {
   double efficiency = 0.0;    ///< achieved_gbs / reference_gbs (0 if no ref)
 };
 
-/// Per-level halo traffic of the decomposed engine (empty when the level
-/// ran undecomposed): measured wire bytes and the pack/unpack span times.
-struct HaloLevelStat {
-  int level = 0;
-  std::uint64_t bytes = 0;      ///< wire bytes received, summed over exchanges
-  std::uint64_t exchanges = 0;  ///< full exchanges performed
-  double pack_seconds = 0.0;    ///< pack + transport span time
-  double unpack_seconds = 0.0;  ///< unpack span time
-};
-
 struct SolverReport {
   double solve_seconds = 0.0;
   std::uint64_t iterations = 0;
@@ -57,7 +47,6 @@ struct SolverReport {
   std::uint64_t dropped = 0;
   std::vector<KernelRow> kernels;  ///< rows with calls > 0, level-major
   std::vector<LevelPrecisionCounters> levels;
-  std::vector<HaloLevelStat> halo;  ///< levels with halo traffic only
   /// Precision-autopilot state (core/autopilot.hpp): the resolved policy and
   /// every decision the planner/governor took, in order.  Empty under
   /// PrecisionPolicy::Fixed.
@@ -99,11 +88,11 @@ void print_precision_counters(const std::vector<LevelPrecisionCounters>& c,
                               std::ostream& os);
 void print_precision_counters(const std::vector<LevelPrecisionCounters>& c);
 
-/// Machine-readable report, schema "smg-telemetry-v3" (v2 added
-/// "precision_policy", "autopilot", the per-level repair counters, and the
-/// per-level "halo" traffic rows of the decomposed engine; v3 added the
-/// "requests" ID window, the "metrics" registry snapshot, and the realized
-/// per-level "storage_ladder").
+/// Machine-readable report, schema "smg-telemetry-v4" (v2 added
+/// "precision_policy", "autopilot" and the per-level repair counters; v3
+/// added the "requests" ID window, the "metrics" registry snapshot, and the
+/// realized per-level "storage_ladder"; v4 dropped the per-level "halo"
+/// rows with the box-decomposed engine they described).
 std::string to_json(const SolverReport& r);
 
 /// Chrome trace-event document ({"traceEvents":[...]}, ph "X", µs units);

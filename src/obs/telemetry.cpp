@@ -121,38 +121,6 @@ void Telemetry::record_panel_apply(int k) noexcept {
   max_panel_width_ = std::max(max_panel_width_, k);
 }
 
-void Telemetry::record_halo(int level, std::uint64_t bytes) noexcept {
-  const int li = std::clamp(level, 0, kMaxLevels - 1);
-  halo_bytes_[li] += bytes;
-  ++halo_exchanges_[li];
-}
-
-std::uint64_t Telemetry::halo_bytes(int level) const noexcept {
-  const int li = std::clamp(level, 0, kMaxLevels - 1);
-  return halo_bytes_[li];
-}
-
-std::uint64_t Telemetry::halo_exchanges(int level) const noexcept {
-  const int li = std::clamp(level, 0, kMaxLevels - 1);
-  return halo_exchanges_[li];
-}
-
-std::uint64_t Telemetry::halo_bytes_total() const noexcept {
-  std::uint64_t sum = 0;
-  for (const std::uint64_t b : halo_bytes_) {
-    sum += b;
-  }
-  return sum;
-}
-
-std::uint64_t Telemetry::halo_exchanges_total() const noexcept {
-  std::uint64_t sum = 0;
-  for (const std::uint64_t n : halo_exchanges_) {
-    sum += n;
-  }
-  return sum;
-}
-
 void Telemetry::reset() noexcept {
   for (Slab& s : slabs_) {
     for (auto& per_level : s.stats) {
@@ -167,12 +135,6 @@ void Telemetry::reset() noexcept {
   panel_applies_ = 0;
   panel_columns_ = 0;
   max_panel_width_ = 0;
-  for (std::uint64_t& b : halo_bytes_) {
-    b = 0;
-  }
-  for (std::uint64_t& n : halo_exchanges_) {
-    n = 0;
-  }
   request_first_.store(0, std::memory_order_relaxed);
   request_last_.store(0, std::memory_order_relaxed);
   request_count_.store(0, std::memory_order_relaxed);

@@ -80,8 +80,6 @@ enum class Kind : int {
   Restrict,          ///< f_c = R r_f (unfused path)
   Prolong,           ///< u_f += P e_c
   Blas1,             ///< vector kernels in the Krylov loop (dot/axpy/...)
-  HaloPack,          ///< halo exchange: pack + transport phases
-  HaloUnpack,        ///< halo exchange: unpack phase
   kCount,
 };
 
@@ -115,10 +113,6 @@ constexpr std::string_view to_string(Kind k) noexcept {
       return "prolong";
     case Kind::Blas1:
       return "blas1";
-    case Kind::HaloPack:
-      return "halo_pack";
-    case Kind::HaloUnpack:
-      return "halo_unpack";
     case Kind::kCount:
       break;
   }
@@ -179,17 +173,6 @@ class Telemetry {
   std::uint64_t panel_columns() const noexcept { return panel_columns_; }
   int max_panel_width() const noexcept { return max_panel_width_; }
 
-  /// Halo traffic of the decomposed engine: one call per full exchange on
-  /// MG level `level` with the bytes it moved over the wire.  Always on,
-  /// like record_apply (the engine is the only caller, so undecomposed runs
-  /// stay untouched); the benches gate these counters against the
-  /// perfmodel's halo-bytes prediction.
-  void record_halo(int level, std::uint64_t bytes) noexcept;
-  std::uint64_t halo_bytes(int level) const noexcept;
-  std::uint64_t halo_exchanges(int level) const noexcept;
-  std::uint64_t halo_bytes_total() const noexcept;
-  std::uint64_t halo_exchanges_total() const noexcept;
-
   /// Request IDs this instance served: the solvers note each solve's ID so
   /// the report can say which ID range a ledger covers.  Always on (one
   /// call per solve) and thread-safe (solve_many_async shares an adapter).
@@ -249,8 +232,6 @@ class Telemetry {
   std::uint64_t panel_applies_ = 0;
   std::uint64_t panel_columns_ = 0;
   int max_panel_width_ = 0;
-  std::uint64_t halo_bytes_[kMaxLevels] = {};
-  std::uint64_t halo_exchanges_[kMaxLevels] = {};
   std::uint64_t vec_conversions_per_apply_ = 0;
   std::atomic<std::uint64_t> request_first_{0};
   std::atomic<std::uint64_t> request_last_{0};

@@ -172,13 +172,6 @@ TEST(SchemaDocs, TelemetryJsonKeysMatchTelemetrySchemaDoc) {
   c.conversions_per_apply = 81000;
   c.rescales = 1;
   r.levels.push_back(c);
-  obs::HaloLevelStat hl;
-  hl.level = 0;
-  hl.bytes = 65536;
-  hl.exchanges = 8;
-  hl.pack_seconds = 0.01;
-  hl.unpack_seconds = 0.005;
-  r.halo.push_back(hl);
   r.policy = PrecisionPolicy::Guarded;
   AutopilotDecision d;
   d.level = 0;

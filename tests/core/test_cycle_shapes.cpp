@@ -1,15 +1,13 @@
 // Cycle-shape coverage (docs/CYCLE_SHAPES.md): the cycle_visits multiplicity
 // table matches the visits run_cycle makes on a counting backend and the
-// measured Level spans of the plain and decomposed engines for V, W and F; the
-// F-cycle is bitwise identical between the decomposed {2,2,2} and plain
-// paths and across OpenMP thread counts; one F-cycle reaches discretization
+// measured Level spans for V, W and F; the F-cycle is bitwise identical
+// across OpenMP thread counts; one F-cycle reaches discretization
 // error on the manufactured laplace27 problem at FP64 and FP16 storage; the
 // fmg_solve driver polishes, stops, restores the caller's shape.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
-#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -27,13 +25,6 @@
 
 namespace smg {
 namespace {
-
-MGConfig decomposed(MGConfig cfg, std::array<int, 3> nb) {
-  cfg.min_coarse_cells = 64;
-  cfg.decomp = nb;
-  cfg.decomp_min_box = 32;
-  return cfg;
-}
 
 // ---- visit-multiplicity table --------------------------------------------
 
@@ -151,10 +142,10 @@ TEST(CycleVisits, RunCycleVisitsMatchModel) {
 
 // ---- measured Level spans == cycle_visits --------------------------------
 
-void expect_measured_visits(CycleShape shape,
-                            std::array<int, 3> nb = {1, 1, 1}) {
+void expect_measured_visits(CycleShape shape) {
   auto p = make_laplace27(Box{14, 14, 14});
-  MGConfig cfg = decomposed(config_d16_setup_scale(), nb);
+  MGConfig cfg = config_d16_setup_scale();
+  cfg.min_coarse_cells = 64;
   cfg.cycle = shape;
   cfg.telemetry = obs::TelemetryLevel::Counters;
   MGHierarchy h(std::move(p.A), cfg);
@@ -165,9 +156,6 @@ void expect_measured_visits(CycleShape shape,
   const std::size_t n = p.b.size();
   avec<double> r(n, 1.0), e(n, 0.0);
   M->apply({r.data(), n}, {e.data(), n});
-  const bool boxed = nb != std::array<int, 3>{1, 1, 1};
-  EXPECT_EQ(t->halo_exchanges_total() > 0, boxed)
-      << "decomposed engine " << (boxed ? "not built" : "built");
   for (int l = 0; l < h.nlevels(); ++l) {
     EXPECT_EQ(t->stat(obs::Kind::Level, l).calls,
               static_cast<std::uint64_t>(
@@ -178,15 +166,12 @@ void expect_measured_visits(CycleShape shape,
 
 TEST(CycleVisits, MeasuredLevelSpansMatchModelV) {
   expect_measured_visits(CycleShape::V);
-  expect_measured_visits(CycleShape::V, {2, 2, 2});
 }
 TEST(CycleVisits, MeasuredLevelSpansMatchModelW) {
   expect_measured_visits(CycleShape::W);
-  expect_measured_visits(CycleShape::W, {2, 2, 2});
 }
 TEST(CycleVisits, MeasuredLevelSpansMatchModelF) {
   expect_measured_visits(CycleShape::F);
-  expect_measured_visits(CycleShape::F, {2, 2, 2});
 }
 
 TEST(CycleVisits, ConversionVolumeMatchesMeasuredMatrixPassesUnderF) {
@@ -221,32 +206,6 @@ TEST(CycleVisits, ConversionVolumeMatchesMeasuredMatrixPassesUnderF) {
 }
 
 // ---- F-cycle identity contracts ------------------------------------------
-
-TEST(FCycle, BitwiseIdenticalDecomposedVsPlain) {
-  for (const char* name : {"full64", "d16"}) {
-    MGConfig cfg = std::string(name) == "full64" ? config_full64()
-                                                 : config_d16_setup_scale();
-    cfg.smoother = SmootherType::Jacobi;
-    cfg.cycle = CycleShape::F;
-    auto pa = make_laplace27(Box{17, 17, 17});
-    auto pb = make_laplace27(Box{17, 17, 17});
-    MGHierarchy ha(std::move(pa.A), decomposed(cfg, {2, 2, 2}));
-    MGHierarchy hb(std::move(pb.A), decomposed(cfg, {1, 1, 1}));
-    MGPrecond<double> Ma(&ha);
-    MGPrecond<double> Mb(&hb);
-    const std::size_t n =
-        static_cast<std::size_t>(ha.level(0).A_full.nrows());
-    avec<double> r(n), ea(n), eb(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      r[i] = std::sin(0.3 * static_cast<double>(i));
-    }
-    Ma.apply({r.data(), n}, {ea.data(), n});
-    Mb.apply({r.data(), n}, {eb.data(), n});
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(ea[i], eb[i]) << name << " i=" << i;
-    }
-  }
-}
 
 TEST(FCycle, BitwiseIdenticalAcrossThreadCounts) {
   MGConfig cfg = config_full64();

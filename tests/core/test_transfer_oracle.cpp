@@ -1,15 +1,12 @@
 // The line-form transfer kernels (core/transfer.hpp) against the per-point
 // oracle (transfer_oracle.hpp), byte for byte: every coarsening mask, odd
 // and even extents down to coarse extent 1, block sizes 1-4, float and
-// double, panels, the fused downstroke gather, box-split x ranges with
-// offset line origins, at 1 and 4 OpenMP threads (the exhaustive
-// small-extent sweep at 1).  A subnormal-scaled
+// double, panels and the fused downstroke gather, at 1 and 4 OpenMP
+// threads (the exhaustive small-extent sweep at 1).  A subnormal-scaled
 // input makes a mismatch in FMA contraction visible, since there a w * v
 // product is no longer exact.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
@@ -266,100 +263,6 @@ TEST(TransferOracle, FusedGatherMatchesResidualThenOracle) {
       }
     }
   });
-}
-
-/// Sub-box split of a global grid along x and y.  Each line the primitive
-/// requests is a private copy of just the x window the box reads (global x
-/// range, line origin at the window start), the way the decomposed engine
-/// hands it interior+ghost storage, so a read outside the window is an
-/// out-of-bounds read.  The assembled result must equal the oracle.
-template <class CT>
-void expect_split_matches(const Coarsening& c, int bs, std::array<int, 2> nb) {
-  const Box& fine = c.fine;
-  const Box& coarse = c.coarse;
-  const auto nfs = static_cast<std::size_t>(fine.size() * bs);
-  const auto ncs = static_cast<std::size_t>(coarse.size() * bs);
-  const auto r = random_vector<CT>(fine.size() * bs, 21, CT{1});
-  const auto e = random_vector<CT>(coarse.size() * bs, 23, CT{1});
-  const auto u0 = random_vector<CT>(fine.size() * bs, 29, CT{1});
-
-  avec<CT> ref(ncs), got(ncs, static_cast<CT>(42));
-  oracle::restrict_to_coarse<CT>(c, bs, {r.data(), nfs}, {ref.data(), ncs});
-  avec<CT> uref = u0, ugot = u0;
-  oracle::prolong_add<CT>(c, bs, {e.data(), ncs}, {uref.data(), nfs});
-
-  // Split [0, n) into nb near-equal parts.
-  const auto cut = [](int n, int parts, int p) {
-    return static_cast<int>(static_cast<std::int64_t>(n) * p / parts);
-  };
-  for (int by = 0; by < nb[1]; ++by) {
-    for (int bx = 0; bx < nb[0]; ++bx) {
-      // Restriction: coarse box [X0, X1) x [Y0, Y1) reads fine x window
-      // [x0, x1), the x-children of its points.
-      const int X0 = cut(coarse.nx, nb[0], bx);
-      const int X1 = cut(coarse.nx, nb[0], bx + 1);
-      const int Y0 = cut(coarse.ny, nb[1], by);
-      const int Y1 = cut(coarse.ny, nb[1], by + 1);
-      if (X0 < X1 && Y0 < Y1) {
-        const int x0 = c.mask[0] ? std::max(0, 2 * X0 - 1) : X0;
-        const int x1 = c.mask[0] ? std::min(fine.nx, 2 * X1) : X1;
-        const std::size_t wn = static_cast<std::size_t>(x1 - x0) * bs;
-        for (int K = 0; K < coarse.nz; ++K) {
-          for (int J = Y0; J < Y1; ++J) {
-            std::vector<avec<CT>> copies;
-            copies.reserve(9);
-            const auto line = [&](int j, int k) -> const CT* {
-              const CT* src = r.data() + fine.idx(x0, j, k) * bs;
-              copies.emplace_back(src, src + wn);
-              return copies.back().data();
-            };
-            detail::restrict_line(c, J, K, bs, X0, X1, x0, line,
-                                  got.data() + coarse.idx(X0, J, K) * bs);
-          }
-        }
-      }
-      // Prolongation: fine box [x0, x1) x [y0, y1) reads coarse x window
-      // [P0, P1), the x-parents of its points.
-      const int x0 = cut(fine.nx, nb[0], bx);
-      const int x1 = cut(fine.nx, nb[0], bx + 1);
-      const int y0 = cut(fine.ny, nb[1], by);
-      const int y1 = cut(fine.ny, nb[1], by + 1);
-      if (x0 < x1 && y0 < y1) {
-        const int P0 = c.mask[0] ? x0 / 2 : x0;
-        const int P1 = c.mask[0] ? std::min(coarse.nx, x1 / 2 + 1) : x1;
-        const std::size_t wn = static_cast<std::size_t>(P1 - P0) * bs;
-        for (int k = 0; k < fine.nz; ++k) {
-          for (int j = y0; j < y1; ++j) {
-            std::vector<avec<CT>> copies;
-            copies.reserve(4);
-            const auto line = [&](int J, int K) -> const CT* {
-              const CT* src = e.data() + coarse.idx(P0, J, K) * bs;
-              copies.emplace_back(src, src + wn);
-              return copies.back().data();
-            };
-            detail::prolong_line(c, j, k, bs, x0, x1, P0, line,
-                                 ugot.data() + fine.idx(x0, j, k) * bs);
-          }
-        }
-      }
-    }
-  }
-  EXPECT_TRUE(same_bytes(got, ref)) << "restrict";
-  EXPECT_TRUE(same_bytes(ugot, uref)) << "prolong";
-}
-
-TEST(TransferOracle, BoxSplitLinesMatchBitwise) {
-  for (int mask = 1; mask < 8; ++mask) {
-    for (const Box fine : {Box{11, 9, 4}, Box{12, 10, 5}, Box{3, 2, 2}}) {
-      const Coarsening c = with_mask(fine, mask);
-      for (int bs : {1, 3}) {
-        SCOPED_TRACE(::testing::Message() << "mask=" << mask << " nx="
-                                          << fine.nx << " bs=" << bs);
-        expect_split_matches<float>(c, bs, {2, 2});
-        expect_split_matches<double>(c, bs, {2, 2});
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ TEST(Blas1, DotAccumulatesInDouble) {
 TEST(Blas1, Norms) {
   std::vector<double> x = {3, -4};
   EXPECT_DOUBLE_EQ(nrm2_deterministic<double>({x.data(), x.size()}), 5.0);
-  EXPECT_DOUBLE_EQ(nrm_inf<double>({x.data(), x.size()}), 4.0);
 }
 
 TEST(Blas1, CopyConvertTruncates) {

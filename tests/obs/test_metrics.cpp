@@ -192,22 +192,6 @@ TEST(MetricsSwitch, RecordHelpersNoOpWhenOff) {
   EXPECT_EQ(solves.value(), before + 1.0);
 }
 
-TEST(MetricsSwitch, HaloHandlesNullWhenOff) {
-  obs::enable_metrics(false);
-  const obs::HaloLevelMetrics off = obs::halo_level_metrics(7);
-  EXPECT_EQ(off.wire_bytes, nullptr);
-  EXPECT_EQ(off.model_bytes_per_exchange, nullptr);
-  obs::enable_metrics(true);
-  const obs::HaloLevelMetrics on = obs::halo_level_metrics(7);
-  ASSERT_NE(on.wire_bytes, nullptr);
-  ASSERT_NE(on.exchanges, nullptr);
-  ASSERT_NE(on.pack_seconds, nullptr);
-  ASSERT_NE(on.unpack_seconds, nullptr);
-  ASSERT_NE(on.model_bytes_per_exchange, nullptr);
-  // Same level -> same handles.
-  EXPECT_EQ(obs::halo_level_metrics(7).wire_bytes, on.wire_bytes);
-}
-
 /// One small CG solve; returns the converged iterate.
 std::vector<double> solve_once() {
   Problem p = make_laplace27(Box{12, 12, 12});

@@ -1,6 +1,6 @@
 // JSON/Chrome-trace export tests: parser unit tests plus full round-trips
 // of to_json / to_chrome_trace through the in-tree parser, validating the
-// "smg-telemetry-v3" schema without an external dependency.
+// "smg-telemetry-v4" schema without an external dependency.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -161,7 +161,7 @@ TEST(ReportJson, SchemaRoundTrip) {
   ASSERT_TRUE(doc->is_object());
 
   ASSERT_NE(doc->find("schema"), nullptr);
-  EXPECT_EQ(doc->find("schema")->as_string(), "smg-telemetry-v3");
+  EXPECT_EQ(doc->find("schema")->as_string(), "smg-telemetry-v4");
   ASSERT_NE(doc->find("precision_policy"), nullptr);
   EXPECT_EQ(doc->find("precision_policy")->as_string(), "fixed");
 
@@ -222,51 +222,11 @@ TEST(ReportJson, SchemaRoundTrip) {
     EXPECT_GT(l.find("headroom")->as_number(), 1.0);
   }
 
-  // Undecomposed run: the halo array is present but empty.
-  const obs::JsonValue* halo = doc->find("halo");
-  ASSERT_NE(halo, nullptr);
-  ASSERT_TRUE(halo->is_array());
-  EXPECT_TRUE(halo->items().empty());
-
   // Fixed policy: the autopilot array is present but empty.
   const obs::JsonValue* autopilot = doc->find("autopilot");
   ASSERT_NE(autopilot, nullptr);
   ASSERT_TRUE(autopilot->is_array());
   EXPECT_TRUE(autopilot->items().empty());
-}
-
-TEST(ReportJson, HaloRowsPresentWhenDecomposed) {
-  const Problem p = make_problem("laplace27", Box{17, 17, 17});
-  MGConfig cfg = config_full64();
-  cfg.min_coarse_cells = 64;
-  cfg.telemetry = obs::TelemetryLevel::Counters;
-  cfg.smoother = SmootherType::Jacobi;
-  cfg.decomp = {2, 2, 2};
-  cfg.decomp_min_box = 32;
-  StructMat<double> A = p.A;
-  MGHierarchy h(std::move(A), cfg);
-  auto M = make_mg_precond<double>(h);
-  const std::size_t n = p.b.size();
-  avec<double> r(n, 1.0), e(n, 0.0);
-  M->apply({r.data(), n}, {e.data(), n});
-
-  const obs::SolverReport rep = obs::build_report(*M->telemetry(), h);
-  const auto doc = obs::json_parse(obs::to_json(rep));
-  ASSERT_TRUE(doc.has_value());
-  const obs::JsonValue* halo = doc->find("halo");
-  ASSERT_NE(halo, nullptr);
-  ASSERT_TRUE(halo->is_array());
-  ASSERT_FALSE(halo->items().empty());
-  for (const obs::JsonValue& row : halo->items()) {
-    ASSERT_TRUE(row.is_object());
-    for (const char* key :
-         {"level", "bytes", "exchanges", "pack_seconds", "unpack_seconds"}) {
-      ASSERT_NE(row.find(key), nullptr) << key;
-      EXPECT_TRUE(row.find(key)->is_number()) << key;
-    }
-    EXPECT_GT(row.find("bytes")->as_number(), 0.0);
-    EXPECT_GT(row.find("exchanges")->as_number(), 0.0);
-  }
 }
 
 TEST(ChromeTrace, SchemaRoundTrip) {

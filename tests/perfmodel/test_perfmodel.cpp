@@ -1,12 +1,8 @@
-// Performance-model tests: Table 2 byte accounting and the strong-scaling
-// simulator's qualitative behavior.
+// Performance-model tests: Table 2 byte accounting and the STREAM probe.
 #include <gtest/gtest.h>
 
-#include "core/mg_hierarchy.hpp"
 #include "perfmodel/bytes.hpp"
-#include "perfmodel/scaling_sim.hpp"
 #include "perfmodel/stream.hpp"
-#include "problems/problem.hpp"
 
 namespace smg {
 namespace {
@@ -159,65 +155,6 @@ TEST(Stream, MeasuresPlausibleBandwidth) {
   EXPECT_GT(r.triad_gbs, 0.5);    // anything slower than 0.5 GB/s is broken
   EXPECT_LT(r.triad_gbs, 5000.0); // sanity cap
   EXPECT_GT(r.copy_gbs, 0.5);
-}
-
-class ScalingSim : public ::testing::Test {
- protected:
-  static MGHierarchy make(MGConfig cfg) {
-    auto p = make_laplace27(Box{33, 33, 33});
-    cfg.min_coarse_cells = 64;
-    return MGHierarchy(std::move(p.A), cfg);
-  }
-};
-
-TEST_F(ScalingSim, MixIsFasterAtEveryScaleButScalesNoBetter) {
-  MGHierarchy hf = make(config_full64());
-  MGHierarchy hm = make(config_d16_setup_scale());
-  const MachineModel m;
-  const std::vector<int> cores = {64, 128, 256, 512, 1024};
-  const auto pts = simulate_strong_scaling(hf, hm, 11, 11, m,
-                                           {cores.data(), cores.size()});
-  ASSERT_EQ(pts.size(), cores.size());
-  for (const auto& p : pts) {
-    EXPECT_LT(p.time_mix, p.time_full) << p.cores;
-  }
-  // Times decrease with cores (strong scaling works).
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_LT(pts[i].time_full, pts[i - 1].time_full);
-    EXPECT_LT(pts[i].time_mix, pts[i - 1].time_mix);
-  }
-  // Paper §7.4: mixed precision never scales better than full precision.
-  const double eff = relative_efficiency({pts.data(), pts.size()});
-  EXPECT_LE(eff, 1.001);
-  EXPECT_GT(eff, 0.4);
-}
-
-TEST_F(ScalingSim, ExtraIterationsErodeMixAdvantage) {
-  MGHierarchy hf = make(config_full64());
-  MGHierarchy hm = make(config_d16_setup_scale());
-  const MachineModel m;
-  const std::vector<int> cores = {64};
-  const auto same = simulate_strong_scaling(hf, hm, 10, 10, m,
-                                            {cores.data(), cores.size()});
-  const auto more = simulate_strong_scaling(hf, hm, 10, 14, m,
-                                            {cores.data(), cores.size()});
-  EXPECT_GT(more[0].time_mix, same[0].time_mix);
-  EXPECT_EQ(more[0].time_full, same[0].time_full);
-}
-
-TEST_F(ScalingSim, SpeedupApproachesMemoryBoundAtLargeGrain) {
-  // At one core the whole 33^3 grid is a big per-core block: the model's
-  // mix/full ratio should land between 1.5x and 4x (matrix is FP16 but
-  // vectors and the FP64 Krylov work are untouched).
-  MGHierarchy hf = make(config_full64());
-  MGHierarchy hm = make(config_d16_setup_scale());
-  const MachineModel m;
-  const std::vector<int> cores = {1};
-  const auto pts = simulate_strong_scaling(hf, hm, 11, 11, m,
-                                           {cores.data(), cores.size()});
-  const double speedup = pts[0].time_full / pts[0].time_mix;
-  EXPECT_GT(speedup, 1.5);
-  EXPECT_LT(speedup, 4.0);
 }
 
 }  // namespace
